@@ -38,7 +38,21 @@ impl Entry {
     }
 }
 
+/// Directory value of a set that has never held a line.
+const NO_BLOCK: u32 = u32::MAX;
+
 /// A set-associative, LRU-replacement cache of 64-byte lines.
+///
+/// Storage scales with the touched sets, not the geometry: a flat
+/// directory maps each set to a way block (a `Vec` of its resident
+/// entries, growing with occupancy) that the set gets on its first
+/// insert. Cloning copies the directory and the touched blocks,
+/// [`clear`](Self::clear) empties only the touched blocks, and
+/// [`len`](Self::len) is a counter — so forking a machine whose
+/// caches hold a few dozen lines does not walk thousands of sets.
+/// Within a set, ways keep `Vec` `push` / `swap_remove` order, which
+/// fixes [`iter`](Self::iter) order (set order, then way order) and
+/// every LRU choice.
 ///
 /// ```
 /// use slpmt_cache::{CacheGeometry, SetAssocCache, Entry, LineMeta};
@@ -53,7 +67,14 @@ impl Entry {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Entry>>,
+    /// `sets - 1` when the set count is a power of two (index by
+    /// mask), else 0 (index by remainder).
+    set_mask: u64,
+    /// Set → index of its block in `blocks`, or [`NO_BLOCK`].
+    dir: Vec<u32>,
+    /// The touched sets' entries, in first-touch order.
+    blocks: Vec<Vec<Entry>>,
+    len: usize,
     tick: u64,
     stats: CacheStats,
 }
@@ -61,10 +82,17 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = vec![Vec::with_capacity(geometry.ways); geometry.sets()];
+        let sets = geometry.sets();
         SetAssocCache {
             geometry,
-            sets,
+            set_mask: if sets.is_power_of_two() {
+                sets as u64 - 1
+            } else {
+                0
+            },
+            dir: vec![NO_BLOCK; sets],
+            blocks: Vec::new(),
+            len: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -80,8 +108,14 @@ impl SetAssocCache {
         &self.stats
     }
 
+    #[inline]
     fn set_index(&self, line: PmAddr) -> usize {
-        ((line.raw() / LINE_BYTES as u64) % self.sets.len() as u64) as usize
+        let n = line.raw() / LINE_BYTES as u64;
+        (if self.set_mask != 0 {
+            n & self.set_mask
+        } else {
+            n % self.dir.len() as u64
+        }) as usize
     }
 
     fn bump(&mut self) -> u64 {
@@ -89,14 +123,34 @@ impl SetAssocCache {
         self.tick
     }
 
+    /// The resident entries of `line`'s set (empty if never touched).
+    #[inline]
+    fn set(&self, line: PmAddr) -> &[Entry] {
+        match self.dir[self.set_index(line)] {
+            NO_BLOCK => &[],
+            b => &self.blocks[b as usize],
+        }
+    }
+
+    /// Mutable resident entries of `line`'s set, if it has a block.
+    #[inline]
+    fn set_mut(&mut self, line: PmAddr) -> Option<&mut Vec<Entry>> {
+        match self.dir[self.set_index(line)] {
+            NO_BLOCK => None,
+            b => Some(&mut self.blocks[b as usize]),
+        }
+    }
+
     /// Looks up `addr`'s line, counting a hit or miss and refreshing
     /// LRU state on a hit.
     pub fn lookup(&mut self, addr: PmAddr) -> Option<&mut Entry> {
         let line = addr.line();
         let tick = self.bump();
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        match set.iter_mut().find(|e| e.addr == line) {
+        let found = match self.dir[self.set_index(line)] {
+            NO_BLOCK => None,
+            b => self.blocks[b as usize].iter_mut().find(|e| e.addr == line),
+        };
+        match found {
             Some(e) => {
                 e.lru = tick;
                 self.stats.hits += 1;
@@ -112,17 +166,14 @@ impl SetAssocCache {
     /// Inspects `addr`'s line without touching LRU state or counters.
     pub fn peek(&self, addr: PmAddr) -> Option<&Entry> {
         let line = addr.line();
-        self.sets[self.set_index(line)]
-            .iter()
-            .find(|e| e.addr == line)
+        self.set(line).iter().find(|e| e.addr == line)
     }
 
     /// Like [`peek`](Self::peek) but mutable; still statistics-neutral.
     /// Used by commit/flush scans that are not program accesses.
     pub fn peek_mut(&mut self, addr: PmAddr) -> Option<&mut Entry> {
         let line = addr.line();
-        let idx = self.set_index(line);
-        self.sets[idx].iter_mut().find(|e| e.addr == line)
+        self.set_mut(line)?.iter_mut().find(|e| e.addr == line)
     }
 
     /// `true` if the line containing `addr` is present.
@@ -140,14 +191,19 @@ impl SetAssocCache {
     pub fn insert(&mut self, mut entry: Entry) -> Option<Entry> {
         let tick = self.bump();
         let idx = self.set_index(entry.addr);
-        let set = &mut self.sets[idx];
+        if self.dir[idx] == NO_BLOCK {
+            self.dir[idx] = self.blocks.len() as u32;
+            self.blocks.push(Vec::new());
+        }
+        let ways = self.geometry.ways;
+        let set = &mut self.blocks[self.dir[idx] as usize];
         assert!(
             !set.iter().any(|e| e.addr == entry.addr),
             "duplicate insert of line {}",
             entry.addr
         );
         entry.lru = tick;
-        let victim = if set.len() == self.geometry.ways {
+        let victim = if set.len() == ways {
             let (pos, _) = set
                 .iter()
                 .enumerate()
@@ -156,9 +212,10 @@ impl SetAssocCache {
             self.stats.evictions += 1;
             Some(set.swap_remove(pos))
         } else {
+            self.len += 1;
             None
         };
-        self.sets[idx].push(entry);
+        set.push(entry);
         victim
     }
 
@@ -166,10 +223,11 @@ impl SetAssocCache {
     /// neutral; used to migrate lines between levels).
     pub fn remove(&mut self, addr: PmAddr) -> Option<Entry> {
         let line = addr.line();
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
+        let set = self.set_mut(line)?;
         let pos = set.iter().position(|e| e.addr == line)?;
-        Some(set.swap_remove(pos))
+        let e = set.swap_remove(pos);
+        self.len -= 1;
+        Some(e)
     }
 
     /// Removes and returns the line containing `addr` for a
@@ -197,29 +255,29 @@ impl SetAssocCache {
 
     /// Iterates all resident entries (set order, then way order).
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.sets.iter().flatten()
+        self.dir
+            .iter()
+            .filter(|&&b| b != NO_BLOCK)
+            .flat_map(move |&b| self.blocks[b as usize].iter())
     }
 
-    /// Mutably iterates all resident entries.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry> {
-        self.sets.iter_mut().flatten()
-    }
-
-    /// Drops every entry (e.g. simulated power loss).
+    /// Drops every entry (e.g. simulated power loss). Touched sets
+    /// keep their (now empty) blocks.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
+        for set in &mut self.blocks {
             set.clear();
         }
+        self.len = 0;
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// `true` when no line is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -319,12 +377,13 @@ mod tests {
             c.insert(entry(i));
         }
         assert_eq!(c.iter().count(), 4);
-        for e in c.iter_mut() {
-            e.meta.persist = true;
-        }
-        assert!(c.iter().all(|e| e.meta.persist));
+        assert_eq!(c.len(), 4);
         c.clear();
         assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
+        assert!(c.lookup(PmAddr::new(0)).is_none(), "cleared lines are gone");
+        assert!(c.insert(entry(0)).is_none());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

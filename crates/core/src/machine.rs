@@ -38,7 +38,7 @@ use slpmt_cache::{
 use slpmt_logbuf::{AtomLineBuffer, EdeCombiner, FlushEvent, LogRecord, TieredLogBuffer};
 use slpmt_pmem::addr::{PmAddr, LINE_BYTES, WORD_BYTES};
 use slpmt_pmem::{PayloadBuf, PmConfig, PmDevice};
-use slpmt_trace::{CommitStage, Event as TraceEvent, TraceHandle, TraceRecord, Tracer};
+use slpmt_trace::{CommitStage, Event as TraceEvent, TraceHandle, TraceRecord, TraceSlot, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Commit-sequence phases at which a test may inject a power failure
@@ -284,7 +284,7 @@ pub struct Machine {
     /// Event tracing (`slpmt-trace`): `None` — the default — keeps
     /// every hook down to a single branch; `enable_tracing` installs a
     /// shared handle here, in the device and in every log buffer.
-    tracer: Option<TraceHandle>,
+    tracer: TraceSlot,
     /// Per-flavour store actions precomputed from the scheme features
     /// (see [`StoreAction`]), indexed by [`StoreKind::index`].
     store_actions: [StoreAction; 5],
@@ -347,7 +347,7 @@ impl Machine {
             scratch_lazy: Vec::new(),
             scratch_logged: Vec::new(),
             scratch_free: Vec::new(),
-            tracer: None,
+            tracer: TraceSlot::default(),
             store_actions,
             cfg,
         }
@@ -365,7 +365,7 @@ impl Machine {
     /// Panics if `capacity_per_core` is zero.
     pub fn enable_tracing(&mut self, capacity_per_core: usize) -> TraceHandle {
         let h = slpmt_trace::tracer(capacity_per_core);
-        self.tracer = Some(h.clone());
+        self.tracer.set(Some(h.clone()));
         self.dev.set_tracer(Some(h.clone()));
         if let LogPath::Tiered(buf) = &mut self.core.log_path {
             buf.set_tracer(Some(h.clone()));
@@ -386,7 +386,7 @@ impl Machine {
     /// Drains and returns the records captured so far, in deterministic
     /// emission order. Empty when tracing was never enabled.
     pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        match &self.tracer {
+        match self.tracer.get() {
             Some(t) => t.borrow_mut().take(),
             None => Vec::new(),
         }
@@ -397,7 +397,7 @@ impl Machine {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             t.borrow_mut().set_core(core);
         }
     }
@@ -409,7 +409,7 @@ impl Machine {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             let mut t = t.borrow_mut();
             t.set_clock(self.now);
             f(&mut t);
@@ -2329,7 +2329,7 @@ impl Machine {
             };
             // Tracing enabled before the cores existed: the new private
             // buffers join the shared tracer too.
-            if let (Some(h), LogPath::Tiered(buf)) = (&self.tracer, &mut log_path) {
+            if let (Some(h), LogPath::Tiered(buf)) = (self.tracer.get(), &mut log_path) {
                 buf.set_tracer(Some(h.clone()));
             }
             self.parked.push(Box::new(CoreCtx {

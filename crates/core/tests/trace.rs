@@ -78,6 +78,42 @@ fn disabled_tracing_returns_empty_and_changes_nothing() {
     assert_eq!(stats_on, stats_off, "tracing must not change behaviour");
 }
 
+/// A clone of a traced machine is untraced: its own run records
+/// nothing, leaves the parent's ring exactly as a run without the
+/// clone would, and behaves like the parent (tracing never changes
+/// simulated state).
+#[test]
+fn clone_of_a_traced_machine_is_untraced() {
+    let first = |m: &mut Machine| {
+        m.tx_begin();
+        m.store_u64(A, 7, StoreKind::Store);
+        m.tx_commit();
+    };
+    let second = |m: &mut Machine| {
+        m.tx_begin();
+        m.store_u64(A.add(64), 8, StoreKind::lazy_logged());
+        m.tx_commit();
+        m.drain_lazy();
+    };
+    let mut reference = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt));
+    reference.enable_tracing(1 << 16);
+    first(&mut reference);
+    second(&mut reference);
+
+    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt));
+    m.enable_tracing(1 << 16);
+    first(&mut m);
+    let mut fork = m.clone();
+    assert!(m.trace_enabled());
+    assert!(!fork.trace_enabled(), "a clone gets no tracer");
+    second(&mut fork);
+    assert!(fork.take_trace().is_empty());
+    second(&mut m);
+    assert_eq!(m.take_trace(), reference.take_trace());
+    assert_eq!(fork.now(), m.now());
+    assert_eq!(fork.stats(), m.stats());
+}
+
 #[test]
 fn multi_core_events_carry_core_attribution() {
     let spec = ProgramSpec::small(3, 21);

@@ -14,7 +14,7 @@
 
 use crate::record::{flush_event, FlushEvent, LogRecord};
 use slpmt_pmem::addr::{PmAddr, LINE_BYTES, WORD_BYTES};
-use slpmt_trace::{Event as TraceEvent, TraceHandle, Tracer};
+use slpmt_trace::{Event as TraceEvent, TraceHandle, TraceSlot, Tracer};
 
 /// Number of tiers: word, double-word, quad-word, line.
 pub const TIERS: usize = 4;
@@ -53,7 +53,7 @@ pub struct TieredLogBuffer {
     stats: TieredStats,
     /// Optional trace sink shared with the owning machine. `None` (the
     /// default) keeps every buffer operation at a single branch.
-    tracer: Option<TraceHandle>,
+    tracer: TraceSlot,
 }
 
 fn tier_of(record: &LogRecord) -> usize {
@@ -81,7 +81,7 @@ impl TieredLogBuffer {
     /// coalesces, drains and occupancy snapshots are emitted while a
     /// sink is present.
     pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
+        self.tracer.set(tracer);
     }
 
     /// `true` when buffer operations should collect trace detail.
@@ -94,7 +94,7 @@ impl TieredLogBuffer {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             f(&mut t.borrow_mut());
         }
     }

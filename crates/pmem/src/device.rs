@@ -15,7 +15,7 @@ use crate::payload::PayloadBuf;
 use crate::space::PmSpace;
 use crate::stats::WriteTraffic;
 use crate::wpq::{WpqPush, WritePendingQueue};
-use slpmt_trace::{Event as TraceEvent, PersistKind, TraceHandle};
+use slpmt_trace::{Event as TraceEvent, PersistKind, TraceHandle, TraceSlot};
 use std::collections::BTreeSet;
 
 /// One entry of the device's persist-event trace, in acceptance order.
@@ -142,7 +142,7 @@ pub struct PmDevice {
     fault_flipped: Vec<u64>,
     /// Optional trace sink shared with the machine front end. `None`
     /// (the default) keeps the persist path at a single branch.
-    tracer: Option<TraceHandle>,
+    tracer: TraceSlot,
 }
 
 impl PmDevice {
@@ -172,7 +172,7 @@ impl PmDevice {
             poisoned: BTreeSet::new(),
             fault_poisoned: Vec::new(),
             fault_flipped: Vec::new(),
-            tracer: None,
+            tracer: TraceSlot::default(),
         }
     }
 
@@ -181,7 +181,7 @@ impl PmDevice {
     /// is present; the durable-event counter is mirrored into it so
     /// records from every emitter share the same clock.
     pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
+        self.tracer.set(tracer);
     }
 
     /// Stamps the simulated cycle clock on the trace sink (no-op when
@@ -190,7 +190,7 @@ impl PmDevice {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             t.borrow_mut().set_clock(now);
         }
     }
@@ -200,7 +200,7 @@ impl PmDevice {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             let (kind, addr, len, txn) = match event {
                 PersistEvent::DataLine { addr } => {
                     (PersistKind::Data, addr.raw(), LINE_BYTES as u16, 0)
@@ -228,7 +228,7 @@ impl PmDevice {
         if cfg!(feature = "no-trace") {
             return;
         }
-        if let Some(t) = &self.tracer {
+        if let Some(t) = self.tracer.get() {
             let depth = self.wpq.occupancy(push.accepted_at).min(255) as u8;
             let stall = push.stall_cycles.min(u64::from(u32::MAX)) as u32;
             let mut t = t.borrow_mut();
@@ -508,7 +508,7 @@ impl PmDevice {
         let accepted = self.drain_lines(now, lines);
         self.traffic.count_log_flush(records, bytes, lines);
         if !cfg!(feature = "no-trace") {
-            if let Some(t) = &self.tracer {
+            if let Some(t) = self.tracer.get() {
                 t.borrow_mut().emit(TraceEvent::LogPack {
                     records: records as u16,
                     bytes: bytes.min(u64::from(u32::MAX)) as u32,
@@ -526,7 +526,7 @@ impl PmDevice {
     /// `WpqDrainComplete` records keep their exact timings. Both paths
     /// produce identical queue state and acceptance cycles.
     fn drain_lines(&mut self, now: u64, lines: u64) -> u64 {
-        if cfg!(feature = "no-trace") || self.tracer.is_none() {
+        if cfg!(feature = "no-trace") || !self.tracer.is_some() {
             return self.wpq.push_chain(now, lines);
         }
         let mut accepted = now;

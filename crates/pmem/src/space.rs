@@ -12,8 +12,18 @@
 //! scales with the touched footprint (pages materialise on first
 //! write), and a per-page line bitmap preserves the exact
 //! touched-lines accounting of the earlier per-frame map.
+//!
+//! Directories and pages are shared copy-on-write (`Rc` +
+//! [`Rc::make_mut`]): cloning a space bumps one reference count per
+//! directory, and a clone copies a directory or a 64-KiB page only on
+//! its first write to it. A crash sweep forking a machine per crash
+//! point therefore pays for the pages the fork dirties, not for the
+//! whole image. The counts are non-atomic, so the uniqueness check on
+//! every write is two plain loads; a space stays on the thread that
+//! built it, like the device that owns it.
 
 use crate::addr::{PmAddr, LINE_BYTES};
+use std::rc::Rc;
 
 /// log2 of the page size: 64 KiB pages, i.e. 1024 lines per page.
 const PAGE_SHIFT: u32 = 16;
@@ -33,12 +43,12 @@ struct Page {
 }
 
 impl Page {
-    fn zeroed() -> Box<Page> {
+    fn zeroed() -> Rc<Page> {
         let bytes: Box<[u8; PAGE_BYTES]> = vec![0u8; PAGE_BYTES]
             .into_boxed_slice()
             .try_into()
             .expect("sized allocation");
-        Box::new(Page {
+        Rc::new(Page {
             bytes,
             touched: [0; PAGE_LINES / 64],
         })
@@ -75,7 +85,7 @@ impl std::fmt::Debug for Page {
     }
 }
 
-type Dir = Vec<Option<Box<Page>>>;
+type Dir = Vec<Option<Rc<Page>>>;
 
 /// The durable byte image of the persistent-memory device.
 ///
@@ -91,7 +101,7 @@ type Dir = Vec<Option<Box<Page>>>;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PmSpace {
-    dirs: Vec<Option<Dir>>,
+    dirs: Vec<Option<Rc<Dir>>>,
     capacity: u64,
     touched: usize,
 }
@@ -153,11 +163,15 @@ impl PmSpace {
         dir[(addr % DIR_SPAN) as usize >> PAGE_SHIFT].as_deref()
     }
 
+    /// The page holding `addr`, materialised on first use and
+    /// unshared from any clone (copy-on-write) before it is returned.
     #[inline]
     fn page_mut(&mut self, addr: u64) -> &mut Page {
         let dir = self.dirs[(addr / DIR_SPAN) as usize]
-            .get_or_insert_with(|| (0..DIR_PAGES).map(|_| None).collect());
-        dir[(addr % DIR_SPAN) as usize >> PAGE_SHIFT].get_or_insert_with(Page::zeroed)
+            .get_or_insert_with(|| Rc::new((0..DIR_PAGES).map(|_| None).collect()));
+        let page = Rc::make_mut(dir)[(addr % DIR_SPAN) as usize >> PAGE_SHIFT]
+            .get_or_insert_with(Page::zeroed);
+        Rc::make_mut(page)
     }
 
     /// Materializes the backing pages for `[base, base + bytes)` up
@@ -416,5 +430,64 @@ mod tests {
         s.write_u64(PmAddr::new(0), 2);
         assert_eq!(snap.read_u64(PmAddr::new(0)), 1);
         assert_eq!(s.read_u64(PmAddr::new(0)), 2);
+    }
+
+    /// Every byte of `[0, len)` plus the touched-line accounting.
+    fn image(s: &PmSpace, len: usize) -> (Vec<u8>, usize, Vec<u64>) {
+        let mut bytes = vec![0u8; len];
+        s.read(PmAddr::new(0), &mut bytes);
+        (bytes, s.touched_lines(), s.touched_line_addrs())
+    }
+
+    /// Copy-on-write isolation: after `prefault` and partial writes,
+    /// writes through a clone (and a clone of that clone) leave the
+    /// original's bytes and touched lines alone, and the reverse
+    /// holds too — including pages and directories none of them had
+    /// materialised before the clone.
+    #[test]
+    fn clones_are_copy_on_write_isolated() {
+        let cap = DIR_SPAN * 2;
+        let len = (DIR_SPAN + 2 * PAGE_BYTES as u64) as usize;
+        let mut a = PmSpace::new(cap);
+        a.prefault(0, 2 * PAGE_BYTES as u64);
+        a.write(PmAddr::new(40), &[0x11; 100]); // partial lines 0..=2
+        a.write_u64(PmAddr::new(PAGE_BYTES as u64 + 8), 5);
+        let a0 = image(&a, len);
+
+        let mut b = a.clone();
+        assert_eq!(image(&b, len), a0, "a clone starts equal");
+        b.write_u64(PmAddr::new(48), 0xB); // shared, touched line
+        b.write(PmAddr::new(PAGE_BYTES as u64 - 4), &[0xBB; 16]); // straddles pages
+        b.write_u64(PmAddr::new(DIR_SPAN + 64), 0xB); // fresh directory
+        let b0 = image(&b, len);
+        assert_eq!(
+            image(&a, len),
+            a0,
+            "writes to a clone leak into the original"
+        );
+        assert_ne!(b0, a0);
+
+        let mut c = b.clone();
+        c.write_line(PmAddr::new(0), &[0xCC; 64]);
+        c.write_u64(PmAddr::new(3 * PAGE_BYTES as u64), 0xC); // fresh page
+        assert_eq!(image(&a, len), a0, "a clone of a clone leaks into the root");
+        assert_eq!(
+            image(&b, len),
+            b0,
+            "a clone of a clone leaks into its parent"
+        );
+        assert_eq!(c.touched_lines(), b0.1 + 1);
+
+        // The reverse direction: the original and the middle clone
+        // write after being cloned; their clones keep their bytes.
+        let c0 = image(&c, len);
+        a.write_line(PmAddr::new(64), &[0xAA; 64]);
+        a.write_u64(PmAddr::new(DIR_SPAN + 128), 0xA);
+        b.write_u64(PmAddr::new(0), 0xBB);
+        assert_eq!(image(&c, len), c0, "writes to a parent leak into a clone");
+        assert_eq!(a.read_u64(PmAddr::new(48)), 0x1111_1111_1111_1111);
+        assert_eq!(b.read_u64(PmAddr::new(64)), 0x1111_1111_1111_1111);
+        assert_eq!(a.touched_lines(), a0.1 + 1);
+        assert_eq!(a.touched_line_addrs().len(), a.touched_lines());
     }
 }

@@ -39,4 +39,4 @@ pub use event::{CommitStage, Component, Event, PersistKind, RecoveryStage, Reque
 pub use json::JsonWriter;
 pub use metrics::Metrics;
 pub use perfetto::export_chrome_trace;
-pub use tracer::{tracer, TraceHandle, TraceRecord, Tracer};
+pub use tracer::{tracer, TraceHandle, TraceRecord, TraceSlot, Tracer};

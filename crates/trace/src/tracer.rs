@@ -169,6 +169,41 @@ pub fn tracer(capacity_per_core: usize) -> TraceHandle {
     Rc::new(RefCell::new(Tracer::new(capacity_per_core)))
 }
 
+/// A component's optional trace sink.
+///
+/// Cloning a traced component yields an *untraced* copy: the clone's
+/// slot is empty. A ring records one run, and a forked machine sharing
+/// its parent's handle would interleave two runs' events under one
+/// clock; a fork that needs a trace replays its run with a tracer of
+/// its own instead.
+#[derive(Debug, Default)]
+pub struct TraceSlot(Option<TraceHandle>);
+
+impl Clone for TraceSlot {
+    fn clone(&self) -> Self {
+        TraceSlot(None)
+    }
+}
+
+impl TraceSlot {
+    /// The installed handle, if any.
+    #[inline]
+    pub fn get(&self) -> Option<&TraceHandle> {
+        self.0.as_ref()
+    }
+
+    /// Installs (or, with `None`, removes) the handle.
+    pub fn set(&mut self, handle: Option<TraceHandle>) {
+        self.0 = handle;
+    }
+
+    /// Whether a handle is installed.
+    #[inline]
+    pub fn is_some(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +215,14 @@ mod tests {
             lazy: false,
             honoured: true,
         }
+    }
+
+    #[test]
+    fn cloned_slot_is_empty() {
+        let mut slot = TraceSlot::default();
+        slot.set(Some(tracer(4)));
+        assert!(slot.is_some());
+        assert!(slot.clone().get().is_none());
     }
 
     #[test]

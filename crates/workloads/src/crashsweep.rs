@@ -46,7 +46,7 @@ use crate::inspector::inspect;
 use crate::runner::{DurableIndex, IndexKind};
 use crate::ycsb::{ycsb_mix, MixSpec, MixedOp};
 use slpmt_annotate::AnnotationTable;
-use slpmt_core::{Scheme, SchemeKind};
+use slpmt_core::{RecoveryReport, Scheme, SchemeKind};
 use slpmt_prng::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -224,6 +224,10 @@ pub(crate) fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedO
 /// exposes the applied-operation counter so tests can pin the
 /// linearity down.
 ///
+/// The oracle also carries the sweep's replay cursor: the crash-free
+/// machine state the next crash point forks from (see
+/// [`recover_at_streaming`]).
+///
 /// [`YcsbOp`]: crate::ycsb::YcsbOp
 #[derive(Debug)]
 pub struct StreamingOracle<'a> {
@@ -232,6 +236,7 @@ pub struct StreamingOracle<'a> {
     /// key → index in `ops` of the operation whose value is current.
     model: BTreeMap<u64, u32>,
     work: u64,
+    cursor: Option<Box<Cursor>>,
 }
 
 impl<'a> StreamingOracle<'a> {
@@ -243,6 +248,7 @@ impl<'a> StreamingOracle<'a> {
             applied: 0,
             model: BTreeMap::new(),
             work: 0,
+            cursor: None,
         }
     }
 
@@ -291,6 +297,16 @@ impl<'a> StreamingOracle<'a> {
             }
             self.applied = i + 1;
         }
+    }
+
+    /// Moves the model to the state after the first `b` operations,
+    /// restarting it from the empty prefix when `b` retreats.
+    fn seek(&mut self, b: usize) {
+        if b < self.applied {
+            self.model.clear();
+            self.applied = 0;
+        }
+        self.advance_to(b);
     }
 
     /// Number of live keys in the modelled prefix.
@@ -392,35 +408,188 @@ pub fn run_crash_at(case: &SweepCase, k: u64) -> Result<(), SweepFailure> {
     run_crash_at_streaming(case, &mut oracle, k)
 }
 
+/// Cap on the adoption window. The cursor copies a fork's op-boundary
+/// state only before operations that start within the window of `k`
+/// — the ones that may hold the trip — where the window is the most
+/// persist events one operation has generated so far. The cap keeps
+/// one outlier operation (a hashtable resize) from making a sparse
+/// sweep over a long trace copy the machine at every boundary.
+const ADOPT_WINDOW: u64 = 256;
+
+/// A crash-free replay position of one case: the context and index
+/// after the trace's first `next` operations, and the transaction
+/// sequence number each of those operations ended at.
+///
+/// A device armed at event `k` behaves exactly like an unarmed one
+/// until its first dropped persist, so every op-boundary state a
+/// crash-at-`k` replay passes before the trip is a crash-free state.
+/// Crash points fork from the cursor instead of replaying from op 0,
+/// and the cursor moves up to the fork's last op boundary before the
+/// trip, so an ascending sweep runs each operation once on the
+/// crash-free path.
+struct Cursor {
+    case: SweepCase,
+    ctx: PmContext,
+    idx: Box<dyn DurableIndex>,
+    next: usize,
+    op_seq: Vec<u64>,
+    /// Most persist events one operation has generated so far (at
+    /// least `k - before + 1` for one that tripped a crash at `k`).
+    max_op_events: u64,
+}
+
+impl fmt::Debug for Cursor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Cursor")
+            .field("case", &self.case)
+            .field("next", &self.next)
+            .field("events", &self.ctx.machine().persist_event_count())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A forked replay stopped at its crash point (the trip, or the trace
+/// end), not yet crashed: its context and index, and the sequence
+/// numbers of every operation it ran, the cursor's prefix included.
+struct Crashed {
+    ctx: PmContext,
+    idx: Box<dyn DurableIndex>,
+    op_seq: Vec<u64>,
+}
+
+impl Cursor {
+    fn new(case: &SweepCase) -> Self {
+        let (ctx, idx) = build(case);
+        Cursor {
+            case: *case,
+            ctx,
+            idx,
+            next: 0,
+            op_seq: Vec::new(),
+            max_op_events: 0,
+        }
+    }
+
+    /// Whether a crash at event `k` of `case` can fork from here.
+    fn serves(&self, case: &SweepCase, k: u64) -> bool {
+        self.case == *case && self.ctx.machine().persist_event_count() <= k
+    }
+
+    /// Moves the cursor to a fork's state at op boundary `i`, before
+    /// its trip (`op_seq` holds the fork's sequence numbers so far).
+    /// The copy stays armed at the fork's `k`; that is harmless, since
+    /// it has not tripped and every later fork re-arms at its own `k`.
+    fn adopt(&mut self, ctx: &PmContext, idx: &dyn DurableIndex, op_seq: &[u64], i: usize) {
+        self.ctx = ctx.clone();
+        self.idx = idx.clone_box();
+        self.op_seq.extend_from_slice(&op_seq[self.next..i]);
+        self.next = i;
+    }
+
+    /// Runs a fork armed at `k` from the cursor until the crash trips
+    /// or the trace ends. On the way the cursor adopts the fork's
+    /// state at each op boundary within the adoption window, ending on
+    /// the last one before the trip.
+    fn run_to_crash(&mut self, ops: &[MixedOp], k: u64) -> Crashed {
+        debug_assert!(
+            !self.ctx.machine().trace_enabled(),
+            "a traced context cannot fork (clones are untraced)"
+        );
+        let mut ctx = self.ctx.clone();
+        let mut idx = self.idx.clone_box();
+        ctx.machine_mut().arm_crash_at_event(k);
+        let mut op_seq = self.op_seq.clone();
+        for (i, op) in ops.iter().enumerate().skip(self.next) {
+            let before = ctx.machine().persist_event_count();
+            let gap = k.saturating_sub(before);
+            if i > self.next && gap <= self.max_op_events.min(ADOPT_WINDOW) {
+                self.adopt(&ctx, idx.as_ref(), &op_seq, i);
+            }
+            apply(idx.as_mut(), &mut ctx, op);
+            op_seq.push(ctx.txn_seq());
+            let tripped = ctx.machine().crash_tripped();
+            let made = if tripped {
+                gap + 1
+            } else {
+                ctx.machine().persist_event_count() - before
+            };
+            self.max_op_events = self.max_op_events.max(made);
+            if tripped {
+                break;
+            }
+        }
+        if !ctx.machine().crash_tripped() && ops.len() > self.next {
+            // The whole trace ran crash-free: its end state is the
+            // cursor for every later point.
+            self.adopt(&ctx, idx.as_ref(), &op_seq, ops.len());
+        }
+        Crashed { ctx, idx, op_seq }
+    }
+}
+
 /// [`run_crash_at`] against a caller-owned [`StreamingOracle`] over
 /// the case's trace ([`trace_ops`]), so a sweep visiting ascending `k`
 /// advances one model instead of rebuilding it per point. The
 /// committed-prefix length `b` is nondecreasing in `k` (a later crash
 /// point can only commit more transactions), which is exactly the
 /// oracle's monotonicity contract.
+///
+/// # Errors
+///
+/// As [`run_crash_at`].
 pub fn run_crash_at_streaming(
     case: &SweepCase,
     oracle: &mut StreamingOracle<'_>,
     k: u64,
 ) -> Result<(), SweepFailure> {
-    let fail = |detail: String| SweepFailure {
-        case: *case,
-        k,
-        detail,
-    };
+    let point = recover_at_streaming(case, oracle, k);
+    check_recovered(case, oracle, k, point)
+}
+
+/// One crash point after log replay and structure recovery, before
+/// the leak GC and the oracle checks.
+pub struct RecoveredPoint {
+    /// The recovered context.
+    pub ctx: PmContext,
+    /// The recovered index.
+    pub idx: Box<dyn DurableIndex>,
+    /// Highest durably committed transaction sequence at the crash.
+    pub marker: u64,
+    /// Committed-prefix length: trace operations whose last
+    /// transaction has a durable marker.
+    pub b: usize,
+    /// What log replay did.
+    pub report: RecoveryReport,
+}
+
+/// The first half of [`run_crash_at_streaming`]: replay to the crash
+/// at persist event `k`, power failure, log replay and the structure's
+/// own recovery. The oracle is advanced to the committed prefix `b`
+/// *before* recovery runs, so a panicking recovery leaves it valid for
+/// the next point.
+///
+/// The replay forks from the oracle's crash-free replay cursor rather
+/// than from op 0: the fork is armed at `k` and runs on until the
+/// crash trips, and the cursor moves up to the fork's last op boundary
+/// before the trip. The cursor is rebuilt from scratch when the case
+/// changes or `k` lies before its position; the model restarts when a
+/// point's prefix retreats. Either way every point is exactly the
+/// from-scratch replay's crash state.
+pub fn recover_at_streaming(
+    case: &SweepCase,
+    oracle: &mut StreamingOracle<'_>,
+    k: u64,
+) -> RecoveredPoint {
     let ops = oracle.ops();
-    let (mut ctx, mut idx) = build(case);
-    ctx.machine_mut().arm_crash_at_event(k);
-    // Sequence number of the last transaction each executed operation
-    // ran (reads re-record the previous value — they commit nothing).
-    let mut op_seq = Vec::with_capacity(ops.len());
-    for op in ops {
-        apply(idx.as_mut(), &mut ctx, op);
-        op_seq.push(ctx.txn_seq());
-        if ctx.machine().crash_tripped() {
-            break;
-        }
-    }
+    let cursor = match &mut oracle.cursor {
+        Some(c) if c.serves(case, k) => c,
+        slot => slot.insert(Box::new(Cursor::new(case))),
+    };
+    let Crashed {
+        mut ctx,
+        mut idx,
+        op_seq,
+    } = cursor.run_to_crash(ops, k);
     // Power failure: volatile state is lost; events 1..=k survive.
     ctx.crash();
     // Durably committed transactions form a prefix of the sequence
@@ -428,11 +597,42 @@ pub fn run_crash_at_streaming(
     // operation count is a prefix length too.
     let marker = ctx.durable_commit_seq();
     let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
-    // Advance the model before recovery: if recovery panics, the
-    // oracle still holds a valid prefix for the next (larger) k.
-    oracle.advance_to(b);
-    ctx.recover();
+    oracle.seek(b);
+    let report = ctx.recover();
     idx.recover(&mut ctx);
+    RecoveredPoint {
+        ctx,
+        idx,
+        marker,
+        b,
+        report,
+    }
+}
+
+/// The second half of [`run_crash_at_streaming`]: leak GC, structure
+/// invariants, heap cleanliness and the oracle comparison at the
+/// point's committed prefix.
+///
+/// # Errors
+///
+/// As [`run_crash_at`].
+pub fn check_recovered(
+    case: &SweepCase,
+    oracle: &StreamingOracle<'_>,
+    k: u64,
+    point: RecoveredPoint,
+) -> Result<(), SweepFailure> {
+    let fail = |detail: String| SweepFailure {
+        case: *case,
+        k,
+        detail,
+    };
+    let RecoveredPoint {
+        mut ctx,
+        idx,
+        marker,
+        ..
+    } = point;
     let reachable = idx.reachable(&ctx);
     let leaks = inspect(&ctx, &reachable).leaks.len();
     ctx.gc(&reachable);

@@ -248,6 +248,10 @@ impl DurableIndex for Hashtable {
         "hashtable"
     }
 
+    fn clone_box(&self) -> Box<dyn DurableIndex> {
+        Box::new(self.clone())
+    }
+
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
         use sites::*;
         assert_eq!(

@@ -167,6 +167,10 @@ impl DurableIndex for MaxHeap {
         "heap"
     }
 
+    fn clone_box(&self) -> Box<dyn DurableIndex> {
+        Box::new(self.clone())
+    }
+
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
         use sites::*;
         assert_eq!(value.len() as u64, self.value_bytes);

@@ -144,6 +144,10 @@ impl DurableIndex for CtreeKv {
         "kv-ctree"
     }
 
+    fn clone_box(&self) -> Box<dyn DurableIndex> {
+        Box::new(self.clone())
+    }
+
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
         Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
     }

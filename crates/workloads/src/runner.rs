@@ -19,6 +19,12 @@ pub trait DurableIndex {
     /// Benchmark name as figures print it.
     fn name(&self) -> &'static str;
 
+    /// A boxed copy of the index handle. The handle only caches root
+    /// addresses and sizes; the structure itself lives in the
+    /// context's persistent image, so a copy paired with a clone of
+    /// the context is an independent fork of the structure.
+    fn clone_box(&self) -> Box<dyn DurableIndex>;
+
     /// Inserts `key → value` in one durable transaction.
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]);
 
