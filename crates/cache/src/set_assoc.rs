@@ -41,6 +41,19 @@ impl Entry {
 /// Directory value of a set that has never held a line.
 const NO_BLOCK: u32 = u32::MAX;
 
+/// Where the last [`lookup`](SetAssocCache::lookup) hit or
+/// [`insert`](SetAssocCache::insert) left a line: its address, block
+/// and way. A hint is only ever a guess — a later `swap_remove`,
+/// eviction or `clear` may move or drop the line — so every reader
+/// confirms the entry at that slot still holds the line before using
+/// it, and falls back to the set scan otherwise.
+#[derive(Debug, Clone, Copy)]
+struct SlotHint {
+    line: PmAddr,
+    block: u32,
+    way: u32,
+}
+
 /// A set-associative, LRU-replacement cache of 64-byte lines.
 ///
 /// Storage scales with the touched sets, not the geometry: a flat
@@ -52,7 +65,10 @@ const NO_BLOCK: u32 = u32::MAX;
 /// caches hold a few dozen lines does not walk thousands of sets.
 /// Within a set, ways keep `Vec` `push` / `swap_remove` order, which
 /// fixes [`iter`](Self::iter) order (set order, then way order) and
-/// every LRU choice.
+/// every LRU choice. A one-entry hint remembers the slot of the last
+/// line looked up or inserted, so the statistics-neutral
+/// [`peek`](Self::peek) / [`peek_mut`](Self::peek_mut) that follow an
+/// access find it without a second scan of the set.
 ///
 /// ```
 /// use slpmt_cache::{CacheGeometry, SetAssocCache, Entry, LineMeta};
@@ -77,6 +93,7 @@ pub struct SetAssocCache {
     len: usize,
     tick: u64,
     stats: CacheStats,
+    hint: Option<SlotHint>,
 }
 
 impl SetAssocCache {
@@ -95,6 +112,7 @@ impl SetAssocCache {
             len: 0,
             tick: 0,
             stats: CacheStats::default(),
+            hint: None,
         }
     }
 
@@ -123,57 +141,81 @@ impl SetAssocCache {
         self.tick
     }
 
-    /// The resident entries of `line`'s set (empty if never touched).
+    /// The `(block, way)` slot of `line`, if resident: the hint when
+    /// the entry there still holds `line`, else one scan of the set.
     #[inline]
-    fn set(&self, line: PmAddr) -> &[Entry] {
-        match self.dir[self.set_index(line)] {
-            NO_BLOCK => &[],
-            b => &self.blocks[b as usize],
+    fn find(&self, line: PmAddr) -> Option<(usize, usize)> {
+        if let Some(h) = self.hint {
+            let (b, w) = (h.block as usize, h.way as usize);
+            if h.line == line && self.blocks[b].get(w).is_some_and(|e| e.addr == line) {
+                return Some((b, w));
+            }
         }
+        let b = self.dir[self.set_index(line)];
+        if b == NO_BLOCK {
+            return None;
+        }
+        let way = self.blocks[b as usize]
+            .iter()
+            .position(|e| e.addr == line)?;
+        Some((b as usize, way))
     }
 
-    /// Mutable resident entries of `line`'s set, if it has a block.
-    #[inline]
-    fn set_mut(&mut self, line: PmAddr) -> Option<&mut Vec<Entry>> {
-        match self.dir[self.set_index(line)] {
-            NO_BLOCK => None,
-            b => Some(&mut self.blocks[b as usize]),
+    /// Removes way `way` of block `b`, moving the last way into its
+    /// slot.
+    fn swap_remove(&mut self, b: usize, way: usize) -> Entry {
+        self.len -= 1;
+        self.blocks[b].swap_remove(way)
+    }
+
+    /// Counts one access to `line` and returns its slot on a hit: the
+    /// shared half of [`lookup`](Self::lookup) and [`take`](Self::take).
+    fn access(&mut self, line: PmAddr) -> Option<(usize, usize)> {
+        self.bump();
+        let slot = self.find(line);
+        if slot.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
+        slot
     }
 
     /// Looks up `addr`'s line, counting a hit or miss and refreshing
     /// LRU state on a hit.
     pub fn lookup(&mut self, addr: PmAddr) -> Option<&mut Entry> {
         let line = addr.line();
-        let tick = self.bump();
-        let found = match self.dir[self.set_index(line)] {
-            NO_BLOCK => None,
-            b => self.blocks[b as usize].iter_mut().find(|e| e.addr == line),
-        };
-        match found {
-            Some(e) => {
-                e.lru = tick;
-                self.stats.hits += 1;
-                Some(e)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let (block, way) = self.access(line)?;
+        self.hint = Some(SlotHint {
+            line,
+            block: block as u32,
+            way: way as u32,
+        });
+        let e = &mut self.blocks[block][way];
+        e.lru = self.tick;
+        Some(e)
+    }
+
+    /// Removes and returns `addr`'s line, counting a hit or miss and
+    /// advancing the LRU clock exactly as [`lookup`](Self::lookup)
+    /// does: a `lookup` followed by a [`remove`](Self::remove) in one
+    /// scan of the set.
+    pub fn take(&mut self, addr: PmAddr) -> Option<Entry> {
+        let (block, way) = self.access(addr.line())?;
+        Some(self.swap_remove(block, way))
     }
 
     /// Inspects `addr`'s line without touching LRU state or counters.
     pub fn peek(&self, addr: PmAddr) -> Option<&Entry> {
-        let line = addr.line();
-        self.set(line).iter().find(|e| e.addr == line)
+        let (block, way) = self.find(addr.line())?;
+        Some(&self.blocks[block][way])
     }
 
     /// Like [`peek`](Self::peek) but mutable; still statistics-neutral.
     /// Used by commit/flush scans that are not program accesses.
     pub fn peek_mut(&mut self, addr: PmAddr) -> Option<&mut Entry> {
-        let line = addr.line();
-        self.set_mut(line)?.iter_mut().find(|e| e.addr == line)
+        let (block, way) = self.find(addr.line())?;
+        Some(&mut self.blocks[block][way])
     }
 
     /// `true` if the line containing `addr` is present.
@@ -191,43 +233,48 @@ impl SetAssocCache {
     pub fn insert(&mut self, mut entry: Entry) -> Option<Entry> {
         let tick = self.bump();
         let idx = self.set_index(entry.addr);
+        let ways = self.geometry.ways;
         if self.dir[idx] == NO_BLOCK {
             self.dir[idx] = self.blocks.len() as u32;
             self.blocks.push(Vec::new());
         }
-        let ways = self.geometry.ways;
-        let set = &mut self.blocks[self.dir[idx] as usize];
-        assert!(
-            !set.iter().any(|e| e.addr == entry.addr),
-            "duplicate insert of line {}",
-            entry.addr
-        );
-        entry.lru = tick;
-        let victim = if set.len() == ways {
-            let (pos, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("full set has entries");
+        let block = self.dir[idx] as usize;
+        // One pass both rejects a duplicate and finds the LRU way (the
+        // first minimum; ticks are unique, so there are no ties).
+        let (mut lru_way, mut lru_tick) = (0, u64::MAX);
+        for (way, e) in self.blocks[block].iter().enumerate() {
+            assert!(
+                e.addr != entry.addr,
+                "duplicate insert of line {}",
+                entry.addr
+            );
+            if e.lru < lru_tick {
+                (lru_way, lru_tick) = (way, e.lru);
+            }
+        }
+        let victim = if self.blocks[block].len() == ways {
             self.stats.evictions += 1;
-            Some(set.swap_remove(pos))
+            Some(self.swap_remove(block, lru_way))
         } else {
-            self.len += 1;
             None
         };
-        set.push(entry);
+        let way = self.blocks[block].len();
+        entry.lru = tick;
+        self.hint = Some(SlotHint {
+            line: entry.addr,
+            block: block as u32,
+            way: way as u32,
+        });
+        self.blocks[block].push(entry);
+        self.len += 1;
         victim
     }
 
     /// Removes and returns the line containing `addr` (statistics
     /// neutral; used to migrate lines between levels).
     pub fn remove(&mut self, addr: PmAddr) -> Option<Entry> {
-        let line = addr.line();
-        let set = self.set_mut(line)?;
-        let pos = set.iter().position(|e| e.addr == line)?;
-        let e = set.swap_remove(pos);
-        self.len -= 1;
-        Some(e)
+        let (block, way) = self.find(addr.line())?;
+        Some(self.swap_remove(block, way))
     }
 
     /// Removes and returns the line containing `addr` for a

@@ -5,6 +5,13 @@
 //! Victims, LRU choices, `iter()` order (set order, then way order,
 //! which battery-backed flushes and abort scans depend on), `len` and
 //! `CacheStats` must agree after every step.
+//!
+//! The cache remembers the slot of the last line it looked up or
+//! inserted and `peek`/`peek_mut` try that slot first, so after every
+//! step — a lookup, an insert, an evicting insert (whose `swap_remove`
+//! moves a way), a take, a remove, a clear or a clone — the model also
+//! peeks at the line just touched (and at an evicted victim), where a
+//! hint trusted without checking the slot's address would go wrong.
 
 use slpmt_cache::{CacheGeometry, CacheStats, Entry, LineMeta, SetAssocCache};
 use slpmt_pmem::{PmAddr, LINE_BYTES};
@@ -103,6 +110,18 @@ fn same(a: Option<&Entry>, b: Option<&Entry>, step: usize, what: &str) {
     assert_eq!(a.map(key), b.map(key), "step {step}: {what} disagrees");
 }
 
+/// `peek` and `peek_mut` of `addr` must both agree with the model.
+fn same_peeks(cache: &mut SetAssocCache, model: &mut Model, addr: PmAddr, step: usize) {
+    let want = model.peek(addr);
+    same(cache.peek(addr), want.as_ref(), step, "peek");
+    same(
+        cache.peek_mut(addr).map(|e| &*e),
+        want.as_ref(),
+        step,
+        "peek_mut",
+    );
+}
+
 /// Runs `steps` random operations over `lines` distinct lines.
 fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
     let mut rng = SimRng::seed_from_u64(seed);
@@ -113,11 +132,11 @@ fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
         let addr =
             PmAddr::new(rng.gen_range(0..lines) * LINE_BYTES as u64 + rng.gen_range(0..8) * 8);
         match rng.gen_range(0..100) {
-            0..=34 => {
+            0..=31 => {
                 let got = cache.lookup(addr).map(|e| e.clone());
                 same(got.as_ref(), model.lookup(addr).as_ref(), step, "lookup");
             }
-            35..=64 => {
+            32..=59 => {
                 if model.peek(addr).is_none() {
                     stamp = stamp.wrapping_add(1);
                     let meta = LineMeta {
@@ -128,9 +147,12 @@ fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
                     let e = Entry::new(addr.line(), [stamp; LINE_BYTES], meta);
                     let got = cache.insert(e.clone());
                     same(got.as_ref(), model.insert(e).as_ref(), step, "victim");
+                    if let Some(v) = got {
+                        same_peeks(&mut cache, &mut model, v.addr, step);
+                    }
                 }
             }
-            65..=74 => {
+            60..=67 => {
                 same(cache.peek(addr), model.peek(addr).as_ref(), step, "peek");
                 if let Some(e) = cache.peek_mut(addr) {
                     e.meta.persist = !e.meta.persist;
@@ -139,16 +161,23 @@ fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
                     m.expect("resident in both").0.meta.persist ^= true;
                 }
             }
-            75..=84 => {
+            68..=75 => {
+                // `take` is a counted lookup that removes on a hit.
+                let got = cache.take(addr);
+                let want = model.lookup(addr).and_then(|_| model.remove(addr));
+                same(got.as_ref(), want.as_ref(), step, "take");
+            }
+            76..=84 => {
                 let got = cache.remove(addr);
                 same(got.as_ref(), model.remove(addr).as_ref(), step, "remove");
             }
-            85..=98 => {
+            85..=97 => {
                 let got = cache.invalidate(addr);
                 let want = model.remove(addr);
                 model.stats.invalidations += u64::from(want.is_some());
                 same(got.as_ref(), want.as_ref(), step, "invalidate");
             }
+            98 => cache = cache.clone(),
             _ => {
                 cache.clear();
                 for set in &mut model.sets {
@@ -156,6 +185,7 @@ fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
                 }
             }
         }
+        same_peeks(&mut cache, &mut model, addr, step);
         assert_eq!(cache.len(), model.len(), "step {step}: len");
         assert_eq!(cache.is_empty(), model.len() == 0, "step {step}: is_empty");
         assert_eq!(*cache.stats(), model.stats, "step {step}: stats");
@@ -167,6 +197,7 @@ fn drive(geo: CacheGeometry, lines: u64, steps: usize, seed: u64) {
     let mut twin = cache.clone();
     for i in 0..lines {
         let addr = PmAddr::new(i * LINE_BYTES as u64);
+        same_peeks(&mut twin, &mut model, addr, steps + i as usize);
         let (a, b) = (
             twin.lookup(addr).map(|e| key(e)),
             cache.lookup(addr).map(|e| key(e)),

@@ -170,9 +170,64 @@ struct CurTxn {
     /// Core-local 2-bit ID.
     id: TxnId,
     /// Lines read (for the working-set signature).
-    read_set: BTreeSet<u64>,
+    read_set: LineSet,
     /// Lines written.
-    write_set: BTreeSet<u64>,
+    write_set: LineSet,
+}
+
+/// A transaction's read or write set of line addresses, kept as a flat
+/// `Vec` appended to on every access and sorted and deduplicated
+/// ([`normalize`](Self::normalize)) only where the set is read whole or
+/// probed: at commit, when the transaction is suspended and when its
+/// core is parked. An append skips a repeat of the last line (the
+/// common run of words within one line), and a full `Vec` normalises
+/// before it grows, so the set never holds more than about twice its
+/// distinct lines.
+#[derive(Debug, Clone, Default)]
+struct LineSet(Vec<u64>);
+
+impl LineSet {
+    #[inline]
+    fn insert(&mut self, line: u64) {
+        if self.0.last() == Some(&line) {
+            return;
+        }
+        if self.0.len() == self.0.capacity() {
+            self.normalize();
+            self.0.reserve_exact(self.0.len());
+        }
+        self.0.push(line);
+    }
+
+    /// Sorts and deduplicates the lines: afterwards the set iterates in
+    /// ascending address order and [`contains`](Self::contains) works.
+    fn normalize(&mut self) {
+        self.0.sort_unstable();
+        self.0.dedup();
+    }
+
+    /// The lines, ascending once normalised.
+    fn lines(&self) -> &[u64] {
+        &self.0
+    }
+
+    /// Whether `line` is in the (normalised) set.
+    fn contains(&self, line: u64) -> bool {
+        debug_assert!(self.0.is_sorted_by(|a, b| a < b), "line set not normalised");
+        self.0.binary_search(&line).is_ok()
+    }
+
+    /// Lines of `self` not in `other`, ascending (both normalised).
+    fn difference<'a>(&'a self, other: &'a LineSet) -> impl Iterator<Item = u64> + 'a {
+        self.0.iter().copied().filter(|&l| !other.contains(l))
+    }
+}
+
+impl CurTxn {
+    fn normalize(&mut self) {
+        self.read_set.normalize();
+        self.write_set.normalize();
+    }
 }
 
 /// Precomputed per-store-flavour action for one scheme configuration:
@@ -811,8 +866,7 @@ impl Machine {
             }
         }
         self.now += self.cfg.caches.l2.hit_cycles;
-        if self.l2.lookup(line).is_some() {
-            let mut e = self.l2.remove(line).expect("looked up");
+        if let Some(mut e) = self.l2.take(line) {
             // Figure 5: replicate each L2 group bit into four L1 bits.
             let replicated = e.meta.log_bits != 0;
             e.meta.log_bits = l2_logbits_to_l1(e.meta.log_bits);
@@ -827,8 +881,7 @@ impl Machine {
             return;
         }
         self.now += self.cfg.caches.l3.hit_cycles;
-        if self.l3.lookup(line).is_some() {
-            let mut e = self.l3.remove(line).expect("looked up");
+        if let Some(mut e) = self.l3.take(line) {
             // L3 keeps no SLPMT metadata: bits re-initialise to zero.
             e.meta = LineMeta::clean();
             self.trace(|t| {
@@ -1087,8 +1140,17 @@ impl Machine {
         }
         victim.meta = LineMeta::clean();
         if let Some(victim3) = self.l3.insert(victim) {
-            // L3 victims are clean by construction: silent drop.
+            // L3 victims are clean by construction: a silent drop, seen
+            // only by the trace.
             debug_assert!(!victim3.meta.dirty);
+            self.trace(|t| {
+                t.emit(TraceEvent::CacheEvict {
+                    level: 3,
+                    addr: victim3.addr.raw(),
+                    dirty: false,
+                    logged: false,
+                });
+            });
         }
     }
 
@@ -1547,8 +1609,8 @@ impl Machine {
         self.core.cur = Some(CurTxn {
             seq: self.txn_seq,
             id,
-            read_set: BTreeSet::new(),
-            write_set: BTreeSet::new(),
+            read_set: LineSet::default(),
+            write_set: LineSet::default(),
         });
         self.stats.tx_begins += 1;
         self.now += self.cfg.tx_begin_cycles;
@@ -1561,11 +1623,13 @@ impl Machine {
     ///
     /// Panics if no transaction is open.
     pub fn tx_commit(&mut self) {
-        let cur = self
+        let mut cur = self
             .core
             .cur
             .take()
             .expect("commit without an open transaction");
+        // The read set is normalised only if the signature needs it.
+        cur.write_set.normalize();
         let commit_start = self.now;
         let redo = self.cfg.features.discipline == Discipline::Redo;
         self.trace(|t| t.emit(TraceEvent::CommitBegin { txn: cur.seq }));
@@ -1604,7 +1668,7 @@ impl Machine {
             // walking the write set finds every tagged line without
             // sweeping both caches (battery mode is single-core, so no
             // other core's lines are involved).
-            for &raw in &cur.write_set {
+            for &raw in cur.write_set.lines() {
                 let addr = PmAddr::new(raw);
                 if let Some(e) = self
                     .core
@@ -1636,11 +1700,12 @@ impl Machine {
         // 1. Identify this transaction's lazily-persistent lines:
         //    dirty, persist bit clear, tagged with our ID. Only lines
         //    in the write set can match (stores are the only path that
-        //    tags a line), so commit walks the write set — already in
-        //    ascending address order — instead of sweeping L1 + L2.
+        //    tags a line), so commit walks the write set — normalised
+        //    to ascending address order above — instead of sweeping
+        //    L1 + L2.
         let mut lazy_lines = std::mem::take(&mut self.scratch_lazy);
         lazy_lines.clear();
-        for &raw in &cur.write_set {
+        for &raw in cur.write_set.lines() {
             let addr = PmAddr::new(raw);
             if self
                 .core
@@ -1676,7 +1741,7 @@ impl Machine {
         logged_lines.clear();
         let mut free_lines = std::mem::take(&mut self.scratch_free);
         free_lines.clear();
-        for &raw in &cur.write_set {
+        for &raw in cur.write_set.lines() {
             let addr = PmAddr::new(raw);
             let Some(e) = self.core.l1.peek(addr).or_else(|| self.l2.peek(addr)) else {
                 continue;
@@ -1839,8 +1904,9 @@ impl Machine {
                 e.meta.defer_bits = 0;
                 self.stats.lazy_lines_deferred += 1;
             }
+            cur.read_set.normalize();
             let mut sig = Signature::new();
-            for &l in cur.read_set.difference(&cur.write_set) {
+            for l in cur.read_set.difference(&cur.write_set) {
                 sig.insert(PmAddr::new(l));
             }
             self.trace(|t| {
@@ -1850,7 +1916,7 @@ impl Machine {
                 t.emit(TraceEvent::SigInsert {
                     txn: cur.seq,
                     id: cur.id.raw(),
-                    lines: cur.read_set.difference(&cur.write_set).copied().collect(),
+                    lines: cur.read_set.difference(&cur.write_set).collect(),
                 });
             });
             let mut lines = lazy_lines.clone();
@@ -2121,11 +2187,12 @@ impl Machine {
              failure flush cannot distinguish a suspended transaction's \
              uncommitted lines from committed ones"
         );
-        let cur = self
+        let mut cur = self
             .core
             .cur
             .take()
             .expect("no open transaction to suspend");
+        cur.normalize();
         self.context_switch();
         let seq = cur.seq;
         self.suspended.push(cur);
@@ -2219,7 +2286,7 @@ impl Machine {
         let line = addr.line().raw();
         self.suspended
             .iter()
-            .find(|t| t.write_set.contains(&line) || (is_write && t.read_set.contains(&line)))
+            .find(|t| t.write_set.contains(line) || (is_write && t.read_set.contains(line)))
             .map(|t| t.seq)
     }
 
@@ -2355,6 +2422,10 @@ impl Machine {
         // Both contexts are boxed, so this exchanges two pointers —
         // activation cost is independent of L1 size or shadow depth.
         std::mem::swap(&mut self.core, &mut self.parked[slot]);
+        // The parked transaction's sets are probed by `parked_conflict`.
+        if let Some(cur) = &mut self.parked[slot].cur {
+            cur.normalize();
+        }
     }
 
     /// Sequence number of the open transaction parked in `slot`.
@@ -2375,7 +2446,7 @@ impl Machine {
         let line = addr.line().raw();
         let hit = self.parked.iter().position(|c| {
             c.cur.as_ref().is_some_and(|t| {
-                t.write_set.contains(&line) || (is_write && t.read_set.contains(&line))
+                t.write_set.contains(line) || (is_write && t.read_set.contains(line))
             })
         });
         if let Some(slot) = hit {
@@ -2543,6 +2614,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpmt_pmem::PersistEvent;
 
     fn machine(scheme: Scheme) -> Machine {
         Machine::new(MachineConfig::for_scheme(scheme))
@@ -3037,6 +3109,142 @@ mod tests {
         assert_eq!(m.outstanding_lazy_txns(), 1, "signatures survive switches");
         m.drain_lazy();
         assert_eq!(m.device().image().read_u64(A), 7);
+    }
+
+    /// Data-line persists in the device's event order.
+    fn persisted_lines(m: &Machine) -> Vec<u64> {
+        m.device()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                PersistEvent::DataLine { addr } => Some(addr.raw()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn commit_persists_lines_in_ascending_order_whatever_the_store_order() {
+        // Descending, repeated and interleaved line order; the write
+        // set is a flat append log until commit normalises it.
+        let order = [9u64, 7, 7, 5, 9, 3, 3, 1, 5, 8, 2, 9];
+        let mut want: Vec<u64> = order.iter().map(|&l| A.raw() + l * 64).collect();
+        want.sort_unstable();
+        want.dedup();
+        for (scheme, kind) in [
+            (Scheme::Fg, StoreKind::Store),
+            (Scheme::Slpmt, StoreKind::Store),
+            (Scheme::Slpmt, StoreKind::log_free()),
+        ] {
+            let mut m = machine(scheme);
+            m.tx_begin();
+            for (i, &l) in order.iter().enumerate() {
+                m.store_u64(A.add(l * 64 + (i as u64 % 8) * 8), i as u64, kind);
+            }
+            m.tx_commit();
+            assert_eq!(persisted_lines(&m), want, "{scheme} {kind:?}");
+        }
+    }
+
+    #[test]
+    fn line_set_matches_btreeset_semantics() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for round in 0..64 {
+            let span = 1 + round as u64 % 40;
+            let (mut read, mut write) = (LineSet::default(), LineSet::default());
+            let (mut read_ref, mut write_ref) = (BTreeSet::new(), BTreeSet::new());
+            for _ in 0..next(400) {
+                // Runs of one line, as consecutive words produce.
+                let line = next(span) * 64;
+                for _ in 0..=next(3) {
+                    if next(2) == 0 {
+                        read.insert(line);
+                        read_ref.insert(line);
+                    } else {
+                        write.insert(line);
+                        write_ref.insert(line);
+                    }
+                }
+                // Compaction keeps a set within twice its distinct lines.
+                assert!(read.0.len() <= (2 * read_ref.len()).max(4));
+                assert!(write.0.len() <= (2 * write_ref.len()).max(4));
+            }
+            read.normalize();
+            write.normalize();
+            assert!(read.lines().iter().eq(read_ref.iter()));
+            assert!(write.lines().iter().eq(write_ref.iter()));
+            let diff: Vec<u64> = read.difference(&write).collect();
+            let diff_ref: Vec<u64> = read_ref.difference(&write_ref).copied().collect();
+            assert_eq!(diff, diff_ref, "read − write, round {round}");
+            for line in (0..=span).map(|l| l * 64) {
+                assert_eq!(write.contains(line), write_ref.contains(&line));
+            }
+        }
+    }
+
+    /// Opens a transaction that reads line 10 and writes lines 8, 6, 4
+    /// and 2 (descending, with repeats), leaving both sets unsorted.
+    fn open_descending_txn(m: &mut Machine) {
+        m.tx_begin();
+        m.load_u64(A.add(10 * 64));
+        for l in [8u64, 6, 6, 4, 8, 2] {
+            m.store_u64(A.add(l * 64), l, StoreKind::Store);
+        }
+    }
+
+    #[test]
+    fn suspended_conflict_check_fires_after_normalisation() {
+        for (probe, is_write, aborts) in [
+            (6u64, false, true), // a read of a written line
+            (2, true, true),
+            (10, true, true), // a write of a read line
+            (10, false, false),
+            (5, true, false), // an untouched line
+        ] {
+            let mut m = machine(Scheme::Slpmt);
+            open_descending_txn(&mut m);
+            m.suspend_txn();
+            m.tx_begin();
+            if is_write {
+                m.store_u64(A.add(probe * 64), 1, StoreKind::Store);
+            } else {
+                m.load_u64(A.add(probe * 64));
+            }
+            m.tx_commit();
+            let want = u64::from(aborts);
+            assert_eq!(
+                m.stats().suspended_aborts,
+                want,
+                "line {probe}, write {is_write}"
+            );
+        }
+    }
+
+    #[test]
+    fn parked_conflict_check_fires_after_normalisation() {
+        let mut m = machine(Scheme::Slpmt);
+        m.enable_multi(2);
+        open_descending_txn(&mut m);
+        m.switch_core(0); // park core 0 with its transaction open
+        let line = |l: u64| A.add(l * 64);
+        assert_eq!(m.parked_conflict(line(6), false), Some(0));
+        assert_eq!(m.parked_conflict(line(2), true), Some(0));
+        assert_eq!(m.parked_conflict(line(10), true), Some(0));
+        assert_eq!(m.parked_conflict(line(10), false), None);
+        assert_eq!(m.parked_conflict(line(5), true), None);
+        // Back on core 0, a lower line joins the set unsorted; parking
+        // again normalises it.
+        m.switch_core(0);
+        m.store_u64(line(1), 1, StoreKind::Store);
+        m.switch_core(0);
+        assert_eq!(m.parked_conflict(line(1), false), Some(0));
+        assert_eq!(m.parked_conflict(line(8), false), Some(0));
     }
 
     #[test]

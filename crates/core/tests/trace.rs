@@ -209,3 +209,26 @@ fn recovery_emits_stage_events() {
     let line = report.to_string();
     assert!(line.contains(&format!("undo {}", report.undo_applied)));
 }
+
+/// L3 victims are dropped silently (they are clean), but the trace
+/// still records each one, so trace-derived metrics count level-3
+/// evictions — and only when a run actually overflows L3.
+#[test]
+fn l3_evictions_reach_the_trace() {
+    let l3_evicts = |lines: u64| {
+        let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
+        m.enable_tracing(1 << 16);
+        for l in 0..lines {
+            m.load_u64(A.add(l * 64));
+        }
+        TraceMetrics::from_records(&m.take_trace()).cache_evicts[3]
+    };
+    // The tiny hierarchy holds 8 + 32 + 128 lines exclusively; a
+    // sequential sweep spreads evenly over every level's sets.
+    assert_eq!(l3_evicts(100), 0, "the sweep fits in L3");
+    assert_eq!(
+        l3_evicts(400),
+        400 - 168,
+        "every line past capacity evicts one"
+    );
+}

@@ -41,19 +41,72 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The IEEE 802.3 CRC32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables: `CRC32_TABLES[0][b]` is the CRC of the
+/// single byte `b`, and `CRC32_TABLES[k][b]` the CRC of `b` followed by
+/// `k` zero bytes, so eight table reads advance the register by one
+/// whole 8-byte word.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (CRC32_POLY & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 /// This is the checksum stored in every durable log record and commit
 /// marker tag; recovery recomputes it to classify records.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    crc32_update(0, bytes)
+}
+
+/// Extends a finished CRC32 `crc` over `bytes`, so
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)` and `crc32_update(0, b)
+/// == crc32(b)`. Lets callers checksum several fields without first
+/// copying them into one buffer.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = !crc;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
+    for &b in words.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !c
 }
 
 /// A deterministic, replayable media-fault plan.
@@ -169,6 +222,42 @@ mod tests {
         assert_eq!(mix64(1), mix64(1));
         assert_ne!(mix64(1), mix64(2));
         assert_ne!(mix64(0), 0);
+    }
+
+    /// The bit-at-a-time CRC32 the tables replaced: one shift and
+    /// conditional XOR per input bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_bitwise_reference() {
+        let mut state = 0x5EED_u64;
+        for len in 0..=128usize {
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = mix64(state);
+                    state as u8
+                })
+                .collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
+            // Any split point streams to the same checksum.
+            let cut = (state as usize) % (len + 1);
+            let (a, b) = buf.split_at(cut);
+            assert_eq!(
+                crc32_update(crc32(a), b),
+                crc32(&buf),
+                "length {len}, cut {cut}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! is counted.
 
 use crate::addr::PmAddr;
-use crate::fault::crc32;
+use crate::fault::{crc32, crc32_update};
 use crate::payload::PayloadBuf;
 use std::collections::BTreeMap;
 
@@ -78,12 +78,10 @@ pub struct PersistedRecord {
 /// Computes the checksum a record's tag word stores: CRC32 over the
 /// append sequence, owning transaction, address and payload bytes.
 pub fn record_crc(seq: u64, txn: u64, addr: PmAddr, payload: &[u8]) -> u32 {
-    let mut bytes = Vec::with_capacity(24 + payload.len());
-    bytes.extend_from_slice(&seq.to_le_bytes());
-    bytes.extend_from_slice(&txn.to_le_bytes());
-    bytes.extend_from_slice(&addr.raw().to_le_bytes());
-    bytes.extend_from_slice(payload);
-    crc32(&bytes)
+    let mut crc = crc32_update(0, &seq.to_le_bytes());
+    crc = crc32_update(crc, &txn.to_le_bytes());
+    crc = crc32_update(crc, &addr.raw().to_le_bytes());
+    crc32_update(crc, payload)
 }
 
 /// Computes the checksum of a commit marker's second word: CRC32 over
@@ -440,6 +438,29 @@ mod tests {
             seq: 0,
             crc: record_crc(0, 0, PmAddr::new(0), &vec![0u8; payload_len]),
             torn_words: None,
+        }
+    }
+
+    #[test]
+    fn record_crc_equals_crc_of_concatenated_fields() {
+        let mut state = 0x00C0_FFEE_u64;
+        let mut next = || {
+            state = crate::fault::mix64(state);
+            state
+        };
+        for len in [0usize, 1, 7, 8, 9, 16, 24, 32, 40, 63, 64, 72] {
+            let (seq, txn, addr) = (next(), next(), PmAddr::new(next() & !7));
+            let payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&seq.to_le_bytes());
+            bytes.extend_from_slice(&txn.to_le_bytes());
+            bytes.extend_from_slice(&addr.raw().to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            assert_eq!(
+                record_crc(seq, txn, addr, &payload),
+                crc32(&bytes),
+                "payload length {len}"
+            );
         }
     }
 
