@@ -1,66 +1,28 @@
-//! Parallel persist-event crash-sweep matrix.
+//! Persist-event crash sweeps as [`Sweep`] impls.
 //!
 //! [`slpmt_workloads::crashsweep`] defines the per-point check: replay
 //! a fixed seeded trace with the device armed to crash at persist
-//! event `k`, recover, compare against the volatile oracle. This
-//! module fans a scheme × workload matrix of those checks across the
-//! [`runner`](crate::runner) worker pool:
-//!
-//! 1. One [`par_map`] pass runs every case crash-free to learn its
-//!    event count `N` (and sanity-check the crash-free end state).
-//! 2. The sweep domain — every `(case, k)` with `k ∈ 1..=N` — is
-//!    flattened into one point list and a second [`par_map`] pass
-//!    checks all points. Points are independent, so a slow case never
-//!    idles workers assigned to cheap ones.
+//! event `k`, recover, compare against the volatile oracle.
+//! [`CrashSweep`] runs those checks over a scheme × workload matrix on
+//! the [`sweep`](crate::sweep) engine, every event (`1..=N`) or a
+//! seeded sample of them; each ascending chunk of a case's points is
+//! served by one streaming oracle over one generated trace, forking
+//! points from its crash-free replay cursor. [`McSweep`] does the same
+//! for the multi-core crash check (`slpmt_core::multi`), over `0..=N`.
 //!
 //! Failures come back as reproducible `(scheme, workload, seed, k)`
 //! tuples; `slpmt crashsweep` and the `tests/crash_sweep.rs` gate
 //! print them verbatim.
 
-use crate::runner::par_map;
-use slpmt_core::SchemeKind;
+use crate::sweep::{Replay, Sweep};
+use slpmt_core::multi::{mc_check_point, mc_count_events, mc_trace_crash_at};
+use slpmt_core::{McFailure, McSweepCase, SchemeKind, TraceRecord};
 use slpmt_workloads::crashsweep::{
-    check_point_streaming, count_events, sample_points, trace_ops, StreamingOracle, SweepCase,
-    SweepFailure,
+    check_point_streaming, count_events, sample_points, trace_crash_at, trace_ops, StreamingOracle,
+    SweepCase, SweepFailure,
 };
 use slpmt_workloads::runner::IndexKind;
 use slpmt_workloads::ycsb::MixSpec;
-use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Outcome of a full sweep.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Cases swept (scheme × workload pairs).
-    pub cases: usize,
-    /// Total crash points checked across all cases.
-    pub points: usize,
-    /// Every failing point, in deterministic (case, k) order.
-    pub failures: Vec<SweepFailure>,
-}
-
-impl SweepReport {
-    /// `true` when every crash point recovered correctly.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-impl fmt::Display for SweepReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "crash sweep: {} points across {} cases, {} failure(s)",
-            self.points,
-            self.cases,
-            self.failures.len()
-        )?;
-        for fail in &self.failures {
-            writeln!(f, "  {fail}")?;
-        }
-        Ok(())
-    }
-}
 
 /// The scheme × workload matrix of sweep cases, one per pair, all
 /// sharing the trace parameters.
@@ -70,13 +32,7 @@ pub fn sweep_cases<S: Into<SchemeKind> + Copy>(
     seed: u64,
     ops: usize,
 ) -> Vec<SweepCase> {
-    let mut cases = Vec::with_capacity(schemes.len() * kinds.len());
-    for &kind in kinds {
-        for &scheme in schemes {
-            cases.push(SweepCase::new(scheme, kind, seed, ops));
-        }
-    }
-    cases
+    sweep_cases_mixed(schemes, kinds, seed, 0, ops, MixSpec::CHURN)
 }
 
 /// [`sweep_cases`] under a named mix with a load phase — the YCSB
@@ -98,117 +54,115 @@ pub fn sweep_cases_mixed<S: Into<SchemeKind> + Copy>(
     cases
 }
 
-/// Crash-free event counts for every case, in parallel; a case whose
-/// crash-free run fails the oracle comes back as a `k = 0` failure.
-fn event_counts(cases: &[SweepCase]) -> Vec<Result<u64, SweepFailure>> {
-    par_map(cases, |case| {
-        catch_unwind(AssertUnwindSafe(|| count_events(case))).map_err(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            SweepFailure {
-                case: *case,
-                k: 0,
-                detail: format!("crash-free run failed: {msg}"),
-            }
-        })
-    })
+/// The persist-event crash sweep over [`SweepCase`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashSweep {
+    /// Every persist event `1..=N` of every case.
+    Exhaustive,
+    /// This many seeded points per case, matching
+    /// [`sweep_points`](slpmt_workloads::crashsweep::sweep_points) —
+    /// the mode for the big named-mix traces, whose event counts dwarf
+    /// what an exhaustive pass can visit.
+    Sampled(usize),
 }
 
-/// Work-unit size for the point pass: a function of the point count
-/// only (never the worker count), so chunk boundaries — and therefore
-/// the exact per-chunk oracle advances — are identical for any
-/// `SLPMT_THREADS`.
-fn chunk_len(points: usize) -> usize {
-    (points / 64).max(16)
-}
+impl Sweep for CrashSweep {
+    type Cell = SweepCase;
+    type Point = u64;
+    type Outcome = ();
+    type Failure = SweepFailure;
+    const LABEL: &'static str = "crash sweep";
 
-/// Runs one ascending chunk of a case's crash points against a single
-/// streaming oracle: the trace is generated once and the oracle
-/// advances monotonically — O(trace + chunk·replay), no per-point
-/// model rebuild.
-fn run_chunk(case: &SweepCase, ks: &[u64]) -> Vec<SweepFailure> {
-    let ops = trace_ops(case);
-    let mut oracle = StreamingOracle::new(&ops);
-    ks.iter()
-        .filter_map(|&k| check_point_streaming(case, &mut oracle, k).err())
-        .collect()
-}
-
-/// Fans `(case, ascending points)` work units across the worker pool
-/// and aggregates the report. Chunk results merge in submission order,
-/// so the failure list is deterministic for any worker count.
-fn run_point_chunks(
-    cases: usize,
-    work: Vec<(SweepCase, Vec<u64>)>,
-    mut failures: Vec<SweepFailure>,
-) -> SweepReport {
-    let points = work.iter().map(|(_, ks)| ks.len()).sum();
-    let results = par_map(&work, |(case, ks)| run_chunk(case, ks));
-    failures.extend(results.into_iter().flatten());
-    SweepReport {
-        cases,
-        points,
-        failures,
-    }
-}
-
-/// Sweeps every persist event of every case, in parallel, and returns
-/// the aggregated report. A case whose crash-free run already fails
-/// the oracle is reported as a single failure at `k = 0` and generates
-/// no crash points. Points are split into ascending per-case chunks,
-/// each served by one streaming oracle over one generated trace — a
-/// slow case still spreads across workers chunk by chunk.
-pub fn run_sweep(cases: &[SweepCase]) -> SweepReport {
-    let counts = event_counts(cases);
-    let mut failures = Vec::new();
-    let mut work: Vec<(SweepCase, Vec<u64>)> = Vec::new();
-    for (case, count) in cases.iter().zip(counts) {
-        match count {
-            Ok(n) => {
-                let chunk = chunk_len(n as usize) as u64;
-                let mut k = 1;
-                while k <= n {
-                    let end = (k + chunk - 1).min(n);
-                    work.push((*case, (k..=end).collect()));
-                    k = end + 1;
-                }
-            }
-            Err(fail) => failures.push(fail),
+    fn points(&self, case: &SweepCase) -> Vec<u64> {
+        let n = count_events(case);
+        match *self {
+            CrashSweep::Exhaustive => (1..=n).collect(),
+            CrashSweep::Sampled(count) => sample_points(case.seed, n, count),
         }
     }
-    run_point_chunks(cases.len(), work, failures)
-}
 
-/// [`run_sweep`] over `points_per_case` seeded crash points per case
-/// instead of the exhaustive `1..=N` domain — the sweep mode for the
-/// big named-mix traces, whose event counts dwarf what an exhaustive
-/// pass can visit. Samples match
-/// [`sweep_points`](slpmt_workloads::crashsweep::sweep_points) for
-/// every case.
-pub fn run_sweep_sampled(cases: &[SweepCase], points_per_case: usize) -> SweepReport {
-    let counts = event_counts(cases);
-    let mut failures = Vec::new();
-    let mut work: Vec<(SweepCase, Vec<u64>)> = Vec::new();
-    for (case, count) in cases.iter().zip(counts) {
-        match count {
-            Ok(n) => {
-                let ks = sample_points(case.seed, n, points_per_case);
-                for chunk in ks.chunks(chunk_len(ks.len())) {
-                    work.push((*case, chunk.to_vec()));
-                }
-            }
-            Err(fail) => failures.push(fail),
+    fn crash_free_failure(&self, case: &SweepCase, msg: String) -> SweepFailure {
+        SweepFailure {
+            case: *case,
+            k: 0,
+            detail: format!("crash-free run failed: {msg}"),
         }
     }
-    run_point_chunks(cases.len(), work, failures)
+
+    /// One streaming oracle over one generated trace serves the whole
+    /// chunk: O(trace + chunk·replay), no per-point model rebuild.
+    fn check_chunk(&self, case: &SweepCase, ks: &[u64]) -> Vec<Result<(), SweepFailure>> {
+        let ops = trace_ops(case);
+        let mut oracle = StreamingOracle::new(&ops);
+        ks.iter()
+            .map(|&k| check_point_streaming(case, &mut oracle, k))
+            .collect()
+    }
+}
+
+impl Replay for CrashSweep {
+    fn trace_at(&self, case: &SweepCase, k: u64) -> Vec<TraceRecord> {
+        trace_crash_at(case, k)
+    }
+
+    fn replay_stem(&self, c: &SweepCase, k: u64) -> String {
+        format!("crashsweep-{}-{}-s{}-k{k}", c.scheme, c.kind, c.seed)
+    }
+
+    fn failed_at(fail: &SweepFailure) -> (SweepCase, u64) {
+        (fail.case, fail.k)
+    }
+}
+
+/// The multi-core persist-event crash sweep: every event `0..=N` of
+/// every [`McSweepCase`], recovery checked against the admissible-value
+/// oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct McSweep;
+
+impl Sweep for McSweep {
+    type Cell = McSweepCase;
+    type Point = u64;
+    type Outcome = ();
+    type Failure = McFailure;
+    const LABEL: &'static str = "mc sweep";
+
+    fn points(&self, case: &McSweepCase) -> Vec<u64> {
+        (0..=mc_count_events(case)).collect()
+    }
+
+    fn crash_free_failure(&self, case: &McSweepCase, msg: String) -> McFailure {
+        McFailure {
+            case: *case,
+            k: 0,
+            detail: format!("crash-free run failed: {msg}"),
+        }
+    }
+
+    fn check_chunk(&self, case: &McSweepCase, ks: &[u64]) -> Vec<Result<(), McFailure>> {
+        ks.iter().map(|&k| mc_check_point(case, k)).collect()
+    }
+}
+
+impl Replay for McSweep {
+    fn trace_at(&self, case: &McSweepCase, k: u64) -> Vec<TraceRecord> {
+        mc_trace_crash_at(case, k)
+    }
+
+    fn replay_stem(&self, c: &McSweepCase, k: u64) -> String {
+        format!("mc-{}-c{}-s{}-{}-k{k}", c.scheme, c.cores, c.seed, c.sched)
+    }
+
+    fn failed_at(fail: &McFailure) -> (McSweepCase, u64) {
+        (fail.case, fail.k)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::threads;
+    use crate::sweep::run;
     use slpmt_core::Scheme;
 
     #[test]
@@ -228,7 +182,7 @@ mod tests {
     #[test]
     fn tiny_sweep_is_clean() {
         let cases = sweep_cases(&[Scheme::Fg], &[IndexKind::Heap], 3, 4);
-        let report = run_sweep(&cases);
+        let report = run(&CrashSweep::Exhaustive, &cases, threads());
         assert!(report.points > 0);
         assert!(report.is_clean(), "{report}");
     }
@@ -243,7 +197,7 @@ mod tests {
             16,
             MixSpec::DELETE_HEAVY,
         );
-        let report = run_sweep_sampled(&cases, 6);
+        let report = run(&CrashSweep::Sampled(6), &cases, threads());
         assert_eq!(report.cases, 1);
         assert_eq!(report.points, 6);
         assert!(report.is_clean(), "{report}");
@@ -256,7 +210,7 @@ mod tests {
         // point domain.
         let case =
             SweepCase::with_mix(Scheme::Fg, IndexKind::Heap, 5, 4, 10, MixSpec::DELETE_HEAVY);
-        let report = run_sweep(&[case]);
+        let report = run(&CrashSweep::Exhaustive, &[case], threads());
         let serial = slpmt_workloads::crashsweep::sweep_serial(&case);
         assert_eq!(report.points as u64, count_events(&case));
         assert_eq!(report.failures.len(), serial.len());

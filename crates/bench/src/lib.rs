@@ -37,6 +37,7 @@ pub mod micro;
 pub mod runner;
 pub mod serve;
 pub mod sharded;
+pub mod sweep;
 pub mod ycsb;
 
 /// Default operation count (the paper's YCSB-load size).

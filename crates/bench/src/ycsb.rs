@@ -113,7 +113,7 @@ pub fn run_ycsb_matrix(cells: &[YcsbCell], cfg: &YcsbConfig, verify: bool) -> Ve
 }
 
 /// The crash-sweep case of one cell under a config — feed these to
-/// [`crate::crashsweep::run_sweep_sampled`] or
+/// [`CrashSweep::Sampled`](crate::crashsweep::CrashSweep::Sampled) or
 /// [`crate::faultsweep::fault_cases_mixed`].
 pub fn sweep_case_of(cell: &YcsbCell, cfg: &YcsbConfig) -> SweepCase {
     let mut case = SweepCase::with_mix(

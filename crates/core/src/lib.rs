@@ -56,7 +56,8 @@ pub mod txreg;
 pub use instr::{BitEffects, StoreKind};
 pub use machine::{CommitPhase, Machine, MachineConfig};
 pub use multi::{
-    McEvent, McOutcome, McSweepCase, MultiMachine, ProgramSpec, SchedPolicy, Schedule, TraceOp,
+    McEvent, McFailure, McOutcome, McSweepCase, MultiMachine, ProgramSpec, SchedPolicy, Schedule,
+    TraceOp,
 };
 pub use overhead::HardwareOverhead;
 pub use recovery::RecoveryReport;
@@ -65,3 +66,14 @@ pub use signature::{Signature, SIGNATURE_BITS};
 pub use slpmt_trace::{Event as TraceEvent, Metrics as TraceMetrics, TraceHandle, TraceRecord};
 pub use stats::MachineStats;
 pub use txreg::TxnIdRegister;
+
+/// The message of a caught panic payload: the `&str` or `String` it
+/// carries, or a fixed placeholder for any other payload type. Every
+/// sweep that converts panics into failure tuples formats them here.
+pub fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with non-string payload".to_string())
+}

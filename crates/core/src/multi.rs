@@ -914,6 +914,23 @@ impl fmt::Display for McSweepCase {
     }
 }
 
+/// One failed multi-core crash point, carrying the reproducer tuple.
+#[derive(Debug, Clone)]
+pub struct McFailure {
+    /// The failing case.
+    pub case: McSweepCase,
+    /// Persist-event index the crash was armed at.
+    pub k: u64,
+    /// What went wrong.
+    pub detail: String,
+}
+
+impl fmt::Display for McFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} k={}: {}", self.case, self.k, self.detail)
+    }
+}
+
 /// Runs the case crash-free, checks the serialized oracle, and returns
 /// the persist-event count `N` — the sweep domain is `0..=N`.
 ///
@@ -954,7 +971,7 @@ pub fn mc_count_events(case: &McSweepCase) -> u64 {
 /// # Errors
 ///
 /// Returns a reproducible description of the first violating word.
-pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
+pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), McFailure> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
     let lazy_enabled = cfg.features.lazy;
@@ -1004,11 +1021,15 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
         };
         admissible.dedup();
         if !admissible.contains(&got) {
-            return Err(format!(
-                "{case} k={k}: word {word:#x} recovered as {got:#x}, \
-                 admissible {admissible:x?} ({} durable txns)",
-                durable.len()
-            ));
+            return Err(McFailure {
+                case: *case,
+                k,
+                detail: format!(
+                    "word {word:#x} recovered as {got:#x}, admissible {admissible:x?} \
+                     ({} durable txns)",
+                    durable.len()
+                ),
+            });
         }
     }
     Ok(())
@@ -1034,29 +1055,17 @@ pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<slpmt_trace::TraceRe
     mm.take_trace()
 }
 
-/// [`mc_run_crash_at`] with panics converted into failure strings, so
+/// [`mc_run_crash_at`] with panics converted into failure tuples, so
 /// a sweep reports the reproducible `(case, k)` instead of dying.
-pub fn mc_check_point(case: &McSweepCase, k: u64) -> Result<(), String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc_run_crash_at(case, k))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(format!("{case} k={k}: panic: {msg}"))
-        }
-    }
-}
-
-/// Sweeps every crash point of one case serially, returning all
-/// failures (empty = crash-consistent at every persist event).
-pub fn mc_sweep_serial(case: &McSweepCase) -> Vec<String> {
-    let n = mc_count_events(case);
-    (0..=n)
-        .filter_map(|k| mc_check_point(case, k).err())
-        .collect()
+pub fn mc_check_point(case: &McSweepCase, k: u64) -> Result<(), McFailure> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc_run_crash_at(case, k)))
+        .unwrap_or_else(|payload| {
+            Err(McFailure {
+                case: *case,
+                k,
+                detail: format!("panic: {}", crate::panic_msg(payload)),
+            })
+        })
 }
 
 #[cfg(test)]

@@ -55,15 +55,15 @@ use crate::service::{dispatch, encode_request, take_request, TokenModel};
 use crate::session::{AckJournal, Session};
 use crate::store::{CasOutcome, KvStore};
 use crate::sweep::check_store;
-use slpmt_core::SchemeKind;
+use slpmt_core::{panic_msg, SchemeKind};
 use slpmt_pmem::FaultPlan;
 use slpmt_trace::Event;
 use slpmt_workloads::crashsweep::{sample_points, StreamingOracle};
+use slpmt_workloads::faultsweep::check_attribution;
 use slpmt_workloads::ycsb::MixedOp;
 use slpmt_workloads::{
     inspect, service_trace, session_of, IndexKind, KvRequest, MixSpec, RetryPolicy,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -176,6 +176,9 @@ pub struct ChaosReport {
     pub refused_writes: u64,
     /// Flagged lines the scrub cleared before the store went ready.
     pub scrubbed: u64,
+    /// Persist events the serve phase generated before the crash (the
+    /// chaos domain `N` for a crash-free run).
+    pub events: u64,
 }
 
 /// One chaos point's outcome.
@@ -202,35 +205,9 @@ pub enum ChaosOutcome {
 /// Panics if the crash-free run already disagrees with the oracle.
 pub fn count_chaos_events(case: &ChaosCase) -> u64 {
     match run_chaos_point(case, None, u64::MAX, false) {
-        Ok(ChaosOutcome::Strict(_)) => {}
+        Ok(ChaosOutcome::Strict(rep)) => rep.events,
         other => panic!("{case}: crash-free chaos run failed: {other:?}"),
     }
-    // The crash never trips at u64::MAX, so replaying the same path
-    // without the arm gives the same event count; measure it directly.
-    let (_ops, reqs) = chaos_ops(case);
-    let mut store = build_store(case);
-    let ordered = store.scan(0, 0).is_some();
-    let codec = Codec::new(case.value_size);
-    let sessions = case.sessions.max(1);
-    let mut sess: Vec<Session> = (0..sessions as u32).map(Session::new).collect();
-    let mut model = TokenModel::default();
-    let mut wire = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        wire.clear();
-        encode_request(req, &mut model, ordered, &mut wire);
-        sess[session_of(i, sessions) as usize].feed(&wire);
-    }
-    for i in 0..reqs.len() {
-        let s = session_of(i, sessions) as usize;
-        let req = match take_request(&mut sess[s], &codec, i as u64) {
-            Ok(Ok(req)) => req,
-            other => panic!("{case}: generated stream must parse cleanly, got {other:?}"),
-        };
-        let mut out = std::mem::take(&mut sess[s].wbuf);
-        dispatch(&mut store, &req, &mut out);
-        sess[s].wbuf = out;
-    }
-    store.machine().persist_event_count()
 }
 
 /// Replays one request in the post-restart replay window, applying
@@ -295,14 +272,6 @@ pub fn dispatch_replay(store: &mut KvStore, req: &Request, out: &mut Vec<u8>) ->
             0
         }
     }
-}
-
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
 /// Deliberately corrupts the recovered state so the oracle check MUST
@@ -390,6 +359,7 @@ pub fn run_chaos_point(
     }
 
     // Phase 2: crash, derive the durable prefix, pin the contract.
+    let events = store.machine().persist_event_count();
     store.crash();
     let marker = store.durable_commit_seq();
     let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
@@ -412,40 +382,8 @@ pub fn run_chaos_point(
         Err(p) => return Err(format!("log replay panicked: {}", panic_msg(p))),
     };
     // Anomalies must not appear out of thin air.
-    let (tear_armed, flips_armed) = plan.map_or((false, 0), |p| (p.tear, p.flip_records));
-    if !tear_armed && report.torn_records + report.torn_markers != 0 {
-        return Err(format!(
-            "{} torn records / {} torn markers without a tear in the plan",
-            report.torn_records, report.torn_markers
-        ));
-    }
-    if flips_armed == 0 && report.corrupt_records != 0 {
-        return Err(format!(
-            "{} corrupt records without a flip in the plan",
-            report.corrupt_records
-        ));
-    }
+    check_attribution(plan, &report, store.machine().device())?;
     if !report.lost_lines.is_empty() {
-        if plan.is_none() {
-            return Err(format!(
-                "{} lines lost with no fault plan armed",
-                report.lost_lines.len()
-            ));
-        }
-        // Every lost line must trace back to an injected fault.
-        let tainted: BTreeSet<u64> = {
-            let dev = store.machine().device();
-            dev.fault_poisoned_lines()
-                .iter()
-                .chain(dev.fault_flipped_lines())
-                .copied()
-                .collect()
-        };
-        if let Some(stray) = report.lost_lines.iter().find(|l| !tainted.contains(l)) {
-            return Err(format!(
-                "line {stray:#x} reported lost but no injected fault touched it"
-            ));
-        }
         return Ok(ChaosOutcome::Lossy {
             lost: report.lost_lines.len(),
         });
@@ -600,6 +538,7 @@ pub fn run_chaos_point(
         suppressed,
         refused_writes: refused,
         scrubbed: store.scrubbed(),
+        events,
     }))
 }
 

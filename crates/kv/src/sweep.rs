@@ -21,12 +21,12 @@
 use crate::codec::{Codec, Parse};
 use crate::service::{dispatch, encode_request, TokenModel};
 use crate::store::KvStore;
-use slpmt_core::SchemeKind;
+use slpmt_core::{panic_msg, SchemeKind};
 use slpmt_pmem::FaultPlan;
 use slpmt_workloads::crashsweep::{sample_points, StreamingOracle};
+use slpmt_workloads::faultsweep::check_attribution;
 use slpmt_workloads::ycsb::MixedOp;
 use slpmt_workloads::{inspect, service_trace, IndexKind, KvRequest, MixSpec};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -244,14 +244,6 @@ pub fn service_points(case: &KvSweepCase, n: u64, count: usize) -> Vec<u64> {
     sample_points(case.seed ^ 0x5E7E_CE00, n, count)
 }
 
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// Media-fault battery at the service boundary: replays the request
 /// stream with `plan` armed and a crash at persist event `k`, then
 /// checks the engine's degradation rules against the facade's
@@ -290,33 +282,7 @@ pub fn run_service_fault_at(case: &KvSweepCase, plan: &FaultPlan, k: u64) -> Res
         Ok(r) => r,
         Err(p) => return Err(format!("log replay panicked: {}", panic_msg(p))),
     };
-    // Faults must not appear out of thin air.
-    if !plan.tear && report.torn_records + report.torn_markers != 0 {
-        return Err(format!(
-            "{} torn records / {} torn markers without a tear in the plan",
-            report.torn_records, report.torn_markers
-        ));
-    }
-    if plan.flip_records == 0 && report.corrupt_records != 0 {
-        return Err(format!(
-            "{} corrupt records without a flip in the plan",
-            report.corrupt_records
-        ));
-    }
-    // Every lost line must trace back to an injected fault.
-    let tainted: BTreeSet<u64> = {
-        let dev = store.machine().device();
-        dev.fault_poisoned_lines()
-            .iter()
-            .chain(dev.fault_flipped_lines())
-            .copied()
-            .collect()
-    };
-    if let Some(stray) = report.lost_lines.iter().find(|l| !tainted.contains(l)) {
-        return Err(format!(
-            "line {stray:#x} reported lost but no injected fault touched it"
-        ));
-    }
+    check_attribution(Some(plan), &report, store.machine().device())?;
     if !report.lost_lines.is_empty() {
         // Degraded and detected: the loss was reported honestly and
         // attributed; the facade surfaces the report to the

@@ -17,8 +17,8 @@
 //!    log replay plus the structure's own recovery, and checks the
 //!    result against the oracle.
 //! 3. [`sweep_serial`] does that for every `k ∈ 1..=N`. The parallel
-//!    fan-out over a scheme × workload matrix lives in
-//!    `slpmt_bench::crashsweep`.
+//!    fan-out over a scheme × workload matrix is the
+//!    `slpmt_bench::crashsweep::CrashSweep` battery of the sweep engine.
 //!
 //! ### The oracle check
 //!
@@ -46,7 +46,8 @@ use crate::inspector::inspect;
 use crate::runner::{DurableIndex, IndexKind};
 use crate::ycsb::{ycsb_mix, MixSpec, MixedOp};
 use slpmt_annotate::AnnotationTable;
-use slpmt_core::{RecoveryReport, Scheme, SchemeKind};
+use slpmt_core::{panic_msg, RecoveryReport, Scheme, SchemeKind};
+use slpmt_pmem::FaultPlan;
 use slpmt_prng::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -405,7 +406,8 @@ pub fn count_events(case: &SweepCase) -> u64 {
 pub fn run_crash_at(case: &SweepCase, k: u64) -> Result<(), SweepFailure> {
     let ops = trace_ops(case);
     let mut oracle = StreamingOracle::new(&ops);
-    run_crash_at_streaming(case, &mut oracle, k)
+    let point = recover_at_streaming(case, &mut oracle, k);
+    check_recovered(case, &oracle, k, point)
 }
 
 /// Cap on the adoption window. The cursor copies a fork's op-boundary
@@ -527,25 +529,6 @@ impl Cursor {
     }
 }
 
-/// [`run_crash_at`] against a caller-owned [`StreamingOracle`] over
-/// the case's trace ([`trace_ops`]), so a sweep visiting ascending `k`
-/// advances one model instead of rebuilding it per point. The
-/// committed-prefix length `b` is nondecreasing in `k` (a later crash
-/// point can only commit more transactions), which is exactly the
-/// oracle's monotonicity contract.
-///
-/// # Errors
-///
-/// As [`run_crash_at`].
-pub fn run_crash_at_streaming(
-    case: &SweepCase,
-    oracle: &mut StreamingOracle<'_>,
-    k: u64,
-) -> Result<(), SweepFailure> {
-    let point = recover_at_streaming(case, oracle, k);
-    check_recovered(case, oracle, k, point)
-}
-
 /// One crash point after log replay and structure recovery, before
 /// the leak GC and the oracle checks.
 pub struct RecoveredPoint {
@@ -562,9 +545,10 @@ pub struct RecoveredPoint {
     pub report: RecoveryReport,
 }
 
-/// The first half of [`run_crash_at_streaming`]: replay to the crash
-/// at persist event `k`, power failure, log replay and the structure's
-/// own recovery. The oracle is advanced to the committed prefix `b`
+/// The first half of [`run_crash_at`] against a caller-owned
+/// [`StreamingOracle`] over the case's trace ([`trace_ops`]): replay to
+/// the crash at persist event `k`, power failure, log replay and the
+/// structure's own recovery. The oracle is advanced to the committed prefix `b`
 /// *before* recovery runs, so a panicking recovery leaves it valid for
 /// the next point.
 ///
@@ -609,7 +593,7 @@ pub fn recover_at_streaming(
     }
 }
 
-/// The second half of [`run_crash_at_streaming`]: leak GC, structure
+/// The second half of [`run_crash_at`]: leak GC, structure
 /// invariants, heap cleanliness and the oracle comparison at the
 /// point's committed prefix.
 ///
@@ -660,54 +644,74 @@ pub fn check_recovered(
 /// back. Deterministic: the same `(case, k)` always yields the same
 /// records.
 pub fn trace_crash_at(case: &SweepCase, k: u64) -> Vec<slpmt_core::TraceRecord> {
-    let ops = trace_ops(case);
+    trace_at(case, None, k)
+}
+
+/// [`trace_crash_at`] with an optional media-fault plan armed.
+pub(crate) fn trace_at(
+    case: &SweepCase,
+    plan: Option<FaultPlan>,
+    k: u64,
+) -> Vec<slpmt_core::TraceRecord> {
+    let (mut ctx, ..) = replay_to_crash(case, &trace_ops(case), plan, k, true);
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.recover()));
+    ctx.take_trace()
+}
+
+/// Replays `ops` from op 0 with `plan` armed (and event tracing on when
+/// `trace`) until the crash at persist event `k` trips, then cuts the
+/// power. Returns the crashed context and index and the transaction
+/// sequence number each operation that ran ended at.
+pub(crate) fn replay_to_crash(
+    case: &SweepCase,
+    ops: &[MixedOp],
+    plan: Option<FaultPlan>,
+    k: u64,
+    trace: bool,
+) -> (PmContext, Box<dyn DurableIndex>, Vec<u64>) {
     let (mut ctx, mut idx) = build(case);
-    ctx.enable_tracing(1 << 20);
+    if trace {
+        ctx.enable_tracing(1 << 20);
+    }
+    if let Some(plan) = plan {
+        ctx.machine_mut().set_fault_plan(plan);
+    }
     ctx.machine_mut().arm_crash_at_event(k);
-    for op in &ops {
+    let mut op_seq = Vec::with_capacity(ops.len());
+    for op in ops {
         apply(idx.as_mut(), &mut ctx, op);
+        op_seq.push(ctx.txn_seq());
         if ctx.machine().crash_tripped() {
             break;
         }
     }
     ctx.crash();
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.recover()));
-    ctx.take_trace()
+    (ctx, idx, op_seq)
 }
 
-/// [`run_crash_at`] with panics converted into failure tuples, so a
-/// sweep over thousands of crash points reports `(scheme, workload,
-/// seed, k)` instead of dying mid-matrix.
-pub fn check_point(case: &SweepCase, k: u64) -> Result<(), SweepFailure> {
-    let ops = trace_ops(case);
-    let mut oracle = StreamingOracle::new(&ops);
-    check_point_streaming(case, &mut oracle, k)
-}
-
-/// [`check_point`] against a caller-owned streaming oracle. The
-/// oracle's prefix is advanced *before* the recovery checks run, so a
-/// panicking point leaves it valid for the next ascending `k`.
+/// [`run_crash_at`] against a caller-owned [`StreamingOracle`], with
+/// panics converted into failure tuples, so a sweep over thousands of
+/// crash points reports `(scheme, workload, seed, k)` instead of dying
+/// mid-matrix. A sweep visiting ascending `k` advances one model
+/// instead of rebuilding it per point: the committed-prefix length `b`
+/// is nondecreasing in `k`, which is exactly the oracle's monotonicity
+/// contract. The prefix is advanced *before* the recovery checks run,
+/// so a panicking point leaves the oracle valid for the next `k`.
 pub fn check_point_streaming(
     case: &SweepCase,
     oracle: &mut StreamingOracle<'_>,
     k: u64,
 ) -> Result<(), SweepFailure> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_crash_at_streaming(case, oracle, k)
+        let point = recover_at_streaming(case, oracle, k);
+        check_recovered(case, oracle, k, point)
     })) {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(SweepFailure {
-                case: *case,
-                k,
-                detail: format!("panic: {msg}"),
-            })
-        }
+        Err(payload) => Err(SweepFailure {
+            case: *case,
+            k,
+            detail: format!("panic: {}", panic_msg(payload)),
+        }),
     }
 }
 

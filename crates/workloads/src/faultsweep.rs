@@ -30,9 +30,9 @@
 //! ops=… plan=… k=…`, replayable via `slpmt faults --plan … --at …`.
 
 use crate::crashsweep::{self, SweepCase};
-use crate::ctx::PmContext;
 use crate::inspector::inspect;
-use crate::runner::DurableIndex;
+use slpmt_core::{panic_msg, RecoveryReport};
+use slpmt_pmem::device::PmDevice;
 use slpmt_pmem::fault::mix64;
 use slpmt_pmem::FaultPlan;
 use std::collections::BTreeSet;
@@ -132,14 +132,6 @@ pub fn fault_points(case: &FaultCase, count: usize) -> Vec<u64> {
     ks.into_iter().collect()
 }
 
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// Replays the case's trace with the fault plan armed and a crash at
 /// persist event `k`, recovers, and checks the degradation rules.
 ///
@@ -156,18 +148,8 @@ pub fn run_fault_at(case: &FaultCase, k: u64) -> Result<(), FaultFailure> {
         detail,
     };
     let ops = crashsweep::trace_ops(&case.base);
-    let (mut ctx, mut idx) = crashsweep::build(&case.base);
-    ctx.machine_mut().set_fault_plan(case.plan);
-    ctx.machine_mut().arm_crash_at_event(k);
-    let mut op_seq = Vec::with_capacity(ops.len());
-    for op in &ops {
-        crashsweep::apply(idx.as_mut(), &mut ctx, op);
-        op_seq.push(ctx.txn_seq());
-        if ctx.machine().crash_tripped() {
-            break;
-        }
-    }
-    ctx.crash();
+    let (mut ctx, mut idx, op_seq) =
+        crashsweep::replay_to_crash(&case.base, &ops, Some(case.plan), k, false);
     // A torn marker is not Valid, so it does not advance the committed
     // watermark: the transaction counts as uncommitted, which is the
     // paper's required reading of a marker that never fully persisted.
@@ -178,34 +160,7 @@ pub fn run_fault_at(case: &FaultCase, k: u64) -> Result<(), FaultFailure> {
         Ok(r) => r,
         Err(p) => return Err(fail(format!("log replay panicked: {}", panic_msg(p)))),
     };
-    // Faults must not appear out of thin air.
-    if !case.plan.tear && report.torn_records + report.torn_markers != 0 {
-        return Err(fail(format!(
-            "{} torn records / {} torn markers without a tear in the plan",
-            report.torn_records, report.torn_markers
-        )));
-    }
-    if case.plan.flip_records == 0 && report.corrupt_records != 0 {
-        return Err(fail(format!(
-            "{} corrupt records without a flip in the plan",
-            report.corrupt_records
-        )));
-    }
-    // Every lost line must trace back to an injected fault: a line the
-    // plan poisoned, or a line covered by a record the plan flipped.
-    let tainted: BTreeSet<u64> = {
-        let dev = ctx.machine().device();
-        dev.fault_poisoned_lines()
-            .iter()
-            .chain(dev.fault_flipped_lines())
-            .copied()
-            .collect()
-    };
-    if let Some(stray) = report.lost_lines.iter().find(|l| !tainted.contains(l)) {
-        return Err(fail(format!(
-            "line {stray:#x} reported lost but no injected fault touched it"
-        )));
-    }
+    check_attribution(Some(&case.plan), &report, ctx.machine().device()).map_err(fail)?;
     if !report.lost_lines.is_empty() {
         // Degraded and detected: the loss was reported honestly and
         // every lost line attributed to an injected fault. The
@@ -230,7 +185,14 @@ pub fn run_fault_at(case: &FaultCase, k: u64) -> Result<(), FaultFailure> {
         if !inspect(&ctx, &reachable).is_clean() {
             return Err("allocations still leaked after GC".into());
         }
-        check_oracle(&ctx, idx.as_ref(), oracle_ops, b, marker)
+        // Fault points are sampled (not an ascending exhaustive sweep),
+        // so each builds a fresh streaming oracle and advances it once:
+        // O(b) model mutations, zero payload clones.
+        let mut oracle = crashsweep::StreamingOracle::new(oracle_ops);
+        oracle.advance_to(b);
+        oracle
+            .check(&ctx, idx.as_ref())
+            .map_err(|e| format!("{e} (marker seq {marker})"))
     }));
     match strict {
         Ok(r) => r.map_err(fail),
@@ -241,21 +203,52 @@ pub fn run_fault_at(case: &FaultCase, k: u64) -> Result<(), FaultFailure> {
     }
 }
 
-fn check_oracle(
-    ctx: &PmContext,
-    idx: &dyn DurableIndex,
-    ops: &[crate::ycsb::MixedOp],
-    b: usize,
-    marker: u64,
+/// The attribution rules every media-fault battery applies after log
+/// replay: faults must not appear out of thin air. Torn records or
+/// markers need a tear in `plan`, corrupt records a flip, and every
+/// lost line must trace back to an injected fault — a line the plan
+/// poisoned, or a line covered by a record it flipped (`plan = None`:
+/// no line may be lost at all).
+///
+/// # Errors
+///
+/// Describes the first anomaly without an injected cause.
+pub fn check_attribution(
+    plan: Option<&FaultPlan>,
+    report: &RecoveryReport,
+    dev: &PmDevice,
 ) -> Result<(), String> {
-    // Fault points are sampled (not an ascending exhaustive sweep), so
-    // each point builds a fresh streaming oracle and advances it once —
-    // O(b) model mutations, zero payload clones.
-    let mut oracle = crashsweep::StreamingOracle::new(ops);
-    oracle.advance_to(b);
-    oracle
-        .check(ctx, idx)
-        .map_err(|e| format!("{e} (marker seq {marker})"))
+    let (tear, flips) = plan.map_or((false, 0), |p| (p.tear, p.flip_records));
+    if !tear && report.torn_records + report.torn_markers != 0 {
+        return Err(format!(
+            "{} torn records / {} torn markers without a tear in the plan",
+            report.torn_records, report.torn_markers
+        ));
+    }
+    if flips == 0 && report.corrupt_records != 0 {
+        return Err(format!(
+            "{} corrupt records without a flip in the plan",
+            report.corrupt_records
+        ));
+    }
+    if plan.is_none() && !report.lost_lines.is_empty() {
+        return Err(format!(
+            "{} lines lost with no fault plan armed",
+            report.lost_lines.len()
+        ));
+    }
+    let tainted: BTreeSet<u64> = dev
+        .fault_poisoned_lines()
+        .iter()
+        .chain(dev.fault_flipped_lines())
+        .copied()
+        .collect();
+    match report.lost_lines.iter().find(|l| !tainted.contains(l)) {
+        Some(stray) => Err(format!(
+            "line {stray:#x} reported lost but no injected fault touched it"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Replays the machine-level sequence of [`run_fault_at`] — fault
@@ -266,20 +259,7 @@ fn check_oracle(
 /// trace of everything up to the failure still comes back.
 /// Deterministic: the same `(case, k)` always yields the same records.
 pub fn trace_fault_at(case: &FaultCase, k: u64) -> Vec<slpmt_core::TraceRecord> {
-    let ops = crashsweep::trace_ops(&case.base);
-    let (mut ctx, mut idx) = crashsweep::build(&case.base);
-    ctx.enable_tracing(1 << 20);
-    ctx.machine_mut().set_fault_plan(case.plan);
-    ctx.machine_mut().arm_crash_at_event(k);
-    for op in &ops {
-        crashsweep::apply(idx.as_mut(), &mut ctx, op);
-        if ctx.machine().crash_tripped() {
-            break;
-        }
-    }
-    ctx.crash();
-    let _ = catch_unwind(AssertUnwindSafe(|| ctx.recover()));
-    ctx.take_trace()
+    crashsweep::trace_at(&case.base, Some(case.plan), k)
 }
 
 /// [`run_fault_at`] with residual panics converted into failure

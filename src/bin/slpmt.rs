@@ -14,47 +14,30 @@
 //! slpmt ycsb [ycsb options]             named-mix matrix (A–F, delete-heavy, …)
 //! slpmt serve [serve options]           KV service front end (memcached-text facade)
 //! slpmt ptm [ptm options]               software-PTM baseline matrix (fences, WAF)
-//!
-//! options: --scheme <name> --ops <n> --value <bytes>
-//!          --annotations <manual|compiler|none> --latency <ns>
-//! trace options: --scheme <name> --workload <name> --ops <n>
-//!                --value <bytes> --seed <n> --out <file>
-//! sweep options: --scheme <name|all> --workload <name|all>
-//!                --seed <n> --ops <n> [--at <k>]
-//! fault options: sweep options plus --points <n> and
-//!                --plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>
-//!                (repeatable; `--plan P --at K` replays one point)
-//! mc options: --scheme <name> --cores <2-4> --seed <n>
-//!             --sched <rr:K|weighted:K> --txns <n> --stores <n>
-//!             --skew <theta-milli> [--crash-at <k>]
-//! shard options: --scheme <name> --ops <n> --value <bytes> --shards <n>
-//! ycsb options: --mix <a..f|delete-heavy|delete-heavy-zipf|churn|all>
-//!               --scheme <name|all> --workload <name|all> --load <n>
-//!               --ops <n> --value <bytes> --seed <n> [--sweep] [--faults]
-//!               [--points <n>] [--shards <n>] [--json]
-//! serve options: --mix <m[,m..]|all> --scheme <name|all> --workload <name>
-//!                --shards <n[,n..]> --load <n> --requests <n> --value <bytes>
-//!                --seed <n> --sessions <n> [--open-loop] [--gap <cycles>]
-//!                [--jitter <window>] [--queue-limit <n>] [--json]
-//! ptm options: --scheme <name|all> --workload <name|all> --ops <n>
-//!              --value <bytes> [--json]
-//!
-//! `matrix` and `crashsweep` fan their cells across worker threads
-//! (one per available core; override with SLPMT_THREADS, where 1
-//! forces a serial run); the merged output is identical for any
-//! worker count. `crashsweep --at K` replays exactly one failing
-//! `(scheme, workload, seed, k)` tuple from a sweep report; `mc`
-//! replays one `(scheme, cores, seed, schedule)` interleaving tuple
-//! from an interleaving-sweep report (`--crash-at K` additionally arms
-//! a crash at persist event K and oracle-checks recovery). `shards`
-//! runs share-nothing keyspace shards on `SLPMT_THREADS` host workers
-//! and reports *simulated* scaling (ops per kilocycle of makespan).
+//! slpmt chaos [chaos options]           crash-during-serve chaos sweep
+//! slpmt bench [bench options]           benchmark snapshot (BENCH_*.json)
 //! ```
+//!
+//! Running `slpmt` with no command prints every command's options.
+//! `--scheme S|all` picks one design or every registered one, and
+//! `--workload W|all` one index or all eight; without them the crash and
+//! fault sweeps cover the ten sweep schemes on hashtable, rbtree and
+//! heap. The sweeps and matrices fan their cells across worker threads
+//! (one per available core; override with SLPMT_THREADS, where 1 forces
+//! a serial run), and the merged output is identical for any worker
+//! count. All four crash batteries run on one engine
+//! (`slpmt::bench::sweep`). `crashsweep --at K`, `faults --plan P --at K`
+//! and `mc --crash-at K` replay one failing tuple from a report and dump
+//! its event trace to `target/traces/`, the path the sweeps'
+//! auto-capture uses for their first failures.
 
+use slpmt::bench::runner::threads;
+use slpmt::bench::sweep::{run, Replay, Report, Sweep};
 use slpmt::cache::CacheConfig;
 use slpmt::core::{HardwareOverhead, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind};
 use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
 use slpmt::workloads::runner::{run_inserts_with, IndexKind};
+use slpmt::workloads::ycsb::MixSpec;
 use slpmt::workloads::{ycsb_load, AnnotationSource};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -150,6 +133,121 @@ fn parse_kind(name: &str) -> Option<IndexKind> {
     IndexKind::ALL
         .into_iter()
         .find(|k| k.to_string().eq_ignore_ascii_case(name))
+}
+
+/// Parses a `--scheme S|all` / `--workload W|all` value: `all` picks
+/// every entry of `all`, anything else must name exactly one entry.
+fn parse_list<T: Copy>(
+    v: &str,
+    all: &[T],
+    parse: impl Fn(&str) -> Option<T>,
+    what: &str,
+) -> Result<Vec<T>, String> {
+    if v.eq_ignore_ascii_case("all") {
+        return Ok(all.to_vec());
+    }
+    parse(v)
+        .map(|x| vec![x])
+        .ok_or_else(|| format!("unknown {what} {v}"))
+}
+
+/// `--scheme S|all`: one design, or every registered one.
+fn parse_schemes(v: &str) -> Result<Vec<SchemeKind>, String> {
+    parse_list(v, &SchemeKind::REGISTRY, SchemeKind::parse, "scheme")
+}
+
+/// `--workload W|all`: one index, or all of them.
+fn parse_kinds(v: &str) -> Result<Vec<IndexKind>, String> {
+    parse_list(v, &IndexKind::ALL, parse_kind, "workload")
+}
+
+/// Replays one sweep point: checks it, dumps its trace to the path the
+/// sweep's auto-capture uses (so a re-run rewrites the file
+/// byte-identically), and prints `ok` or the failure line.
+fn replay_point<S: Replay>(
+    sweep: &S,
+    cell: &S::Cell,
+    k: u64,
+    ok: String,
+) -> Result<ExitCode, String> {
+    let verdict = sweep.check_chunk(cell, &[k]).pop().expect("one verdict");
+    let path = trace_path(&sweep.replay_stem(cell, k));
+    dump_trace(&sweep.trace_at(cell, k), &path)?;
+    let (line, code) = match verdict {
+        Ok(_) => (ok, ExitCode::SUCCESS),
+        Err(fail) => (fail.to_string(), ExitCode::FAILURE),
+    };
+    println!("{line}\n  trace: {}", path.display());
+    Ok(code)
+}
+
+/// Failing points a sweep auto-captures; the rest stay replayable.
+const CAPTURE_CAP: usize = 16;
+
+/// Auto-capture: re-runs the first [`CAPTURE_CAP`] failing points with
+/// tracing on and dumps each trace, returning the paths in failure
+/// order.
+fn capture_failures<S: Replay>(sweep: &S, report: &Report<S>) -> Result<Vec<PathBuf>, String> {
+    report
+        .failures
+        .iter()
+        .take(CAPTURE_CAP)
+        .map(|fail| {
+            let (cell, k) = S::failed_at(fail);
+            let path = trace_path(&sweep.replay_stem(&cell, k));
+            dump_trace(&sweep.trace_at(&cell, k), &path)?;
+            Ok(path)
+        })
+        .collect()
+}
+
+/// Prints a sweep report, the trace path of every captured failure and
+/// how to replay the uncaptured ones.
+fn print_report<S: Replay>(report: &Report<S>, captured: &[PathBuf], replay: &str) {
+    print!("{report}");
+    for (fail, path) in report.failures.iter().zip(captured) {
+        println!("  trace for k={}: {}", S::failed_at(fail).1, path.display());
+    }
+    if report.failures.len() > CAPTURE_CAP {
+        println!(
+            "  ({} more failure(s) not auto-captured; replay with {replay})",
+            report.failures.len() - CAPTURE_CAP
+        );
+    }
+}
+
+/// Emits a sweep report's counts and failure lines under `key`.
+fn json_sweep<S: Sweep>(w: &mut JsonWriter, key: &str, report: &Report<S>) {
+    w.key(key);
+    w.begin_obj();
+    w.key("points");
+    w.u64(report.points as u64);
+    w.key("cases");
+    w.u64(report.cases as u64);
+    w.key("clean");
+    w.bool(report.is_clean());
+    w.key("failures");
+    w.begin_arr();
+    for f in &report.failures {
+        w.string(&f.to_string());
+    }
+    w.end_arr();
+    w.end_obj();
+}
+
+/// A mix's registry name, or its full spec for a custom mix.
+fn mix_label(m: &MixSpec) -> String {
+    m.name()
+        .map(str::to_string)
+        .unwrap_or_else(|| m.to_string())
+}
+
+fn exit_code(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -450,10 +548,8 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
 /// `slpmt crashsweep`: the exhaustive persist-event crash sweep, or a
 /// single reproduced `(scheme, workload, seed, k)` point with `--at`.
 fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::crashsweep::{run_sweep, sweep_cases};
-    use slpmt::workloads::crashsweep::{
-        check_point, count_events, trace_crash_at, SweepCase, SWEEP_SCHEMES,
-    };
+    use slpmt::bench::crashsweep::{sweep_cases, CrashSweep};
+    use slpmt::workloads::crashsweep::{SweepCase, SWEEP_SCHEMES};
 
     let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
     let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
@@ -468,21 +564,8 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if !v.eq_ignore_ascii_case("all") {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
+            "--scheme" => schemes = parse_schemes(&value()?)?,
+            "--workload" => kinds = parse_kinds(&value()?)?,
             "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--ops" => ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
             "--at" => at = Some(value()?.parse().map_err(|e| format!("--at: {e}"))?),
@@ -497,61 +580,24 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
             _ => return Err("--at needs exactly one --scheme and one --workload".into()),
         };
         let case = SweepCase::new(scheme, kind, seed, ops);
-        let verdict = check_point(&case, k);
-        // Replays are capture runs: always dump the trace, to the same
-        // deterministic path the sweep's auto-capture uses, so a
-        // re-run reproduces the file byte-identically.
-        let path = trace_path(&format!("crashsweep-{scheme}-{kind}-s{seed}-k{k}"));
-        dump_trace(&trace_crash_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("crashsweep OK {case} k={k}: recovered to the oracle state");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        let ok = format!("crashsweep OK {case} k={k}: recovered to the oracle state");
+        return replay_point(&CrashSweep::Exhaustive, &case, k, ok);
     }
 
     let cases = sweep_cases(&schemes, &kinds, seed, ops);
-    let total: u64 = cases.iter().map(count_events).sum();
+    let start = std::time::Instant::now();
+    let report = run(&CrashSweep::Exhaustive, &cases, threads());
+    // Exhaustive: one point per persist event of every case whose
+    // crash-free run passed.
     println!(
         "sweeping {} case(s), {} persist events total (seed {seed}, {ops} ops) ...",
         cases.len(),
-        total
+        report.points
     );
-    let start = std::time::Instant::now();
-    let report = run_sweep(&cases);
-    print!("{report}");
-    // Auto-capture: re-run each failing tuple with tracing on and dump
-    // the trace next to it (capped — every tuple stays replayable via
-    // `--at K`, which writes the same path).
-    const CAPTURE_CAP: usize = 16;
-    for fail in report.failures.iter().take(CAPTURE_CAP) {
-        let c = &fail.case;
-        let path = trace_path(&format!(
-            "crashsweep-{}-{}-s{}-k{}",
-            c.scheme, c.kind, c.seed, fail.k
-        ));
-        dump_trace(&trace_crash_at(c, fail.k), &path)?;
-        println!("  trace for k={}: {}", fail.k, path.display());
-    }
-    if report.failures.len() > CAPTURE_CAP {
-        println!(
-            "  ({} more failure(s) not auto-captured; replay with --at K)",
-            report.failures.len() - CAPTURE_CAP
-        );
-    }
+    let captured = capture_failures(&CrashSweep::Exhaustive, &report)?;
+    print_report(&report, &captured, "--at K");
     println!("({:.2}s)", start.elapsed().as_secs_f64());
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 /// `slpmt faults`: the media-fault sweep — seeded crash points under
@@ -559,10 +605,10 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
 /// reproduced `(scheme, workload, seed, k, plan)` point with
 /// `--plan … --at …`.
 fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
+    use slpmt::bench::faultsweep::{fault_cases, FaultSweep};
     use slpmt::pmem::FaultPlan;
     use slpmt::workloads::crashsweep::{SweepCase, SWEEP_SCHEMES};
-    use slpmt::workloads::faultsweep::{check_fault_point, trace_fault_at, FaultCase};
+    use slpmt::workloads::faultsweep::FaultCase;
 
     let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
     let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
@@ -584,21 +630,8 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if !v.eq_ignore_ascii_case("all") {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
+            "--scheme" => schemes = parse_schemes(&value()?)?,
+            "--workload" => kinds = parse_kinds(&value()?)?,
             "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--ops" => ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
             "--points" => points = value()?.parse().map_err(|e| format!("--points: {e}"))?,
@@ -618,23 +651,8 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
             base: SweepCase::new(scheme, kind, seed, ops),
             plan,
         };
-        let verdict = check_fault_point(&case, k);
-        // Replays are capture runs: dump to the deterministic path the
-        // sweep's auto-capture uses (byte-identical on every re-run).
-        let path = trace_path(&format!("faultsweep-{scheme}-{kind}-s{seed}-p{plan}-k{k}"));
-        dump_trace(&trace_fault_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("faultsweep OK {case} k={k}: degradation rules held");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        let ok = format!("faultsweep OK {case} k={k}: degradation rules held");
+        return replay_point(&FaultSweep(points), &case, k, ok);
     }
 
     let cases = fault_cases(&schemes, &kinds, seed, ops, &plans);
@@ -645,20 +663,9 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let start = std::time::Instant::now();
-    let report = run_fault_sweep(&cases, points);
-    // Auto-capture: re-run each failing tuple with tracing on (capped;
-    // every tuple stays replayable via `--plan P --at K`).
-    const CAPTURE_CAP: usize = 16;
-    let mut captured = Vec::new();
-    for fail in report.failures.iter().take(CAPTURE_CAP) {
-        let b = &fail.case.base;
-        let path = trace_path(&format!(
-            "faultsweep-{}-{}-s{}-p{}-k{}",
-            b.scheme, b.kind, b.seed, fail.case.plan, fail.k
-        ));
-        dump_trace(&trace_fault_at(&fail.case, fail.k), &path)?;
-        captured.push(path);
-    }
+    let sweep = FaultSweep(points);
+    let report = run(&sweep, &cases, threads());
+    let captured = capture_failures(&sweep, &report)?;
     if json {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -702,28 +709,13 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
             w.end_obj();
         }
         w.end_arr();
-        w.key("elapsed_s");
-        w.f64(start.elapsed().as_secs_f64());
         w.end_obj();
         println!("{}", w.finish());
     } else {
-        print!("{report}");
-        for (fail, path) in report.failures.iter().zip(&captured) {
-            println!("  trace for k={}: {}", fail.k, path.display());
-        }
-        if report.failures.len() > CAPTURE_CAP {
-            println!(
-                "  ({} more failure(s) not auto-captured; replay with --plan P --at K)",
-                report.failures.len() - CAPTURE_CAP
-            );
-        }
+        print_report(&report, &captured, "--plan P --at K");
         println!("({:.2}s)", start.elapsed().as_secs_f64());
     }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 /// `rr:SEED` or `weighted:SEED`, the format sweep reports print.
@@ -743,9 +735,8 @@ fn parse_sched(v: &str) -> Result<slpmt::core::Schedule, String> {
 /// `slpmt mc`: one deterministic multi-core run — the replay side of
 /// the interleaving and multi-core crash sweeps.
 fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::core::multi::{
-        check_serialized_oracle, gen_programs, mc_check_point, mc_trace_crash_at, run_programs,
-    };
+    use slpmt::bench::crashsweep::McSweep;
+    use slpmt::core::multi::{check_serialized_oracle, gen_programs, run_programs};
     use slpmt::core::{McEvent, McSweepCase, ProgramSpec, Schedule};
 
     let mut case = McSweepCase::new(Scheme::Slpmt, 2, 42, Schedule::round_robin(42));
@@ -785,26 +776,8 @@ fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if let Some(k) = crash_at {
-        let verdict = mc_check_point(&case, k);
-        // Replays are capture runs: dump the interleaving's trace to a
-        // deterministic path (byte-identical on every re-run).
-        let path = trace_path(&format!(
-            "mc-{}-c{}-s{}-{}-k{k}",
-            case.scheme, case.cores, case.seed, case.sched
-        ));
-        dump_trace(&mc_trace_crash_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("mc OK {case} k={k}: recovered within the admissible set");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        let ok = format!("mc OK {case} k={k}: recovered within the admissible set");
+        return replay_point(&McSweep, &case, k, ok);
     }
 
     let mut spec = ProgramSpec::small(case.cores, case.seed);
@@ -859,11 +832,7 @@ fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
         json_stats(&mut w, "stats", &outcome.stats);
         w.end_obj();
         println!("{}", w.finish());
-        return Ok(if oracle.is_ok() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
+        return Ok(exit_code(oracle.is_ok()));
     }
     println!(
         "{case}: {} txns/core × {} stores",
@@ -1043,8 +1012,9 @@ fn git_sha() -> String {
 /// `--reps`, mirroring `scripts/trace_overhead.sh`'s best-of-N
 /// discipline so one noisy run cannot fake a regression.
 fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
+    use slpmt::bench::chaos::{ChaosSweep, ChaosTally};
     use slpmt::bench::micro;
-    use slpmt::bench::runner::{fig08_cells, run_matrix_with, threads};
+    use slpmt::bench::runner::{fig08_cells, run_matrix_with};
     use slpmt::bench::sharded::run_sharded_with;
     use slpmt::core::multi::{gen_programs, run_programs};
     use slpmt::core::{ProgramSpec, Schedule};
@@ -1163,10 +1133,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     // on the reference scheme/index. The summed simulated cycle count
     // is deterministic — any drift is a semantic change — while
     // sim-ops/s tracks host throughput of the mixed-op path.
-    let ycsb_mixes: Vec<slpmt::workloads::ycsb::MixSpec> = slpmt::workloads::ycsb::MixSpec::NAMED
-        .iter()
-        .map(|&(_, m)| m)
-        .collect();
+    let ycsb_mixes: Vec<MixSpec> = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
     let ycsb_cfg = slpmt::bench::ycsb::YcsbConfig {
         load: ops.min(500),
         ops,
@@ -1190,11 +1157,8 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     // The simulated cycle count and the response digest are
     // deterministic (bench.sh hard-gates both); wall time tracks host
     // throughput of the full parse/admit/dispatch service loop.
-    let mut serve_cfg = slpmt::kv::service::ServeConfig::new(
-        Scheme::Slpmt,
-        IndexKind::KvBtree,
-        slpmt::workloads::ycsb::MixSpec::YCSB_B,
-    );
+    let mut serve_cfg =
+        slpmt::kv::service::ServeConfig::new(Scheme::Slpmt, IndexKind::KvBtree, MixSpec::YCSB_B);
     serve_cfg.load = ops.min(500);
     serve_cfg.requests = ops;
     serve_cfg.value_size = 32;
@@ -1225,19 +1189,23 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         IndexKind::KvBtree,
         42,
         40,
-        &[
-            slpmt::workloads::ycsb::MixSpec::YCSB_A,
-            slpmt::workloads::ycsb::MixSpec::YCSB_B,
-        ],
+        &[MixSpec::YCSB_A, MixSpec::YCSB_B],
     );
     let mut chaos_wall = f64::INFINITY;
     let mut chaos_report = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let r = slpmt::bench::chaos::run_chaos_sweep(&chaos_cases_v, &[], 4);
+        let r = ChaosTally::of(run(
+            &ChaosSweep {
+                plans: slpmt::workloads::faultsweep::default_plans(42),
+                points_per_plan: 4,
+            },
+            &chaos_cases_v,
+            threads(),
+        ));
         chaos_wall = chaos_wall.min(t0.elapsed().as_secs_f64());
         if let Some(prev) = &chaos_report {
-            let prev: &slpmt::bench::chaos::ChaosSweepReport = prev;
+            let prev: &ChaosTally = prev;
             if prev.digest != r.digest {
                 return Err(format!(
                     "chaos sweep diverged across reps: digest {:016x} vs {:016x}",
@@ -1571,23 +1539,8 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match flag.as_str() {
-            "--scheme" => {
-                let v = val()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = val()?;
-                if v.eq_ignore_ascii_case("all") {
-                    kinds = IndexKind::ALL.to_vec();
-                } else {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
+            "--scheme" => schemes = parse_schemes(&val()?)?,
+            "--workload" => kinds = parse_kinds(&val()?)?,
             "--ops" => ops = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
             "--value" => value = val()?.parse().map_err(|e| format!("--value: {e}"))?,
             other => return Err(format!("unknown option {other}")),
@@ -1691,11 +1644,11 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
 /// wall-clock, so output — including `--json` — is bit-identical
 /// across reruns and `SLPMT_THREADS` settings.
 fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::crashsweep::run_sweep_sampled;
-    use slpmt::bench::faultsweep::{fault_cases_mixed, run_fault_sweep};
+    use slpmt::bench::crashsweep::CrashSweep;
+    use slpmt::bench::faultsweep::{fault_cases_mixed, FaultSweep};
     use slpmt::bench::sharded::run_sharded_mixed;
     use slpmt::bench::ycsb::{run_ycsb_matrix, sweep_case_of, ycsb_cells, YcsbConfig};
-    use slpmt::workloads::ycsb::{ycsb_mix, MixSpec};
+    use slpmt::workloads::ycsb::ycsb_mix;
 
     let mut mixes: Vec<MixSpec> = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
     let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into()];
@@ -1735,23 +1688,8 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
                     mixes = vec![v.parse().map_err(|e| format!("--mix: {e}"))?];
                 }
             }
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    kinds = IndexKind::ALL.to_vec();
-                } else {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
+            "--scheme" => schemes = parse_schemes(&value()?)?,
+            "--workload" => kinds = parse_kinds(&value()?)?,
             "--load" => cfg.load = value()?.parse().map_err(|e| format!("--load: {e}"))?,
             "--ops" => cfg.ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
             "--value" => cfg.value_size = value()?.parse().map_err(|e| format!("--value: {e}"))?,
@@ -1761,11 +1699,6 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
     let cells = ycsb_cells(&mixes, &schemes, &kinds);
     let rows = run_ycsb_matrix(&cells, &cfg, true);
 
@@ -1798,8 +1731,14 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
     // Optional durability gates over the same cells: sampled
     // persist-event crash sweep, then the media-fault battery.
     let cases: Vec<_> = cells.iter().map(|c| sweep_case_of(c, &cfg)).collect();
-    let sweep_report = sweep.then(|| run_sweep_sampled(&cases, points));
-    let fault_report = faults.then(|| run_fault_sweep(&fault_cases_mixed(&cases, &[]), points));
+    let sweep_report = sweep.then(|| run(&CrashSweep::Sampled(points), &cases, threads()));
+    let fault_report = faults.then(|| {
+        run(
+            &FaultSweep(points),
+            &fault_cases_mixed(&cases, &[]),
+            threads(),
+        )
+    });
 
     if json {
         let mut w = JsonWriter::new();
@@ -1887,43 +1826,11 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             w.end_arr();
             w.end_obj();
         }
-        let mut sweep_json =
-            |key: &str, points: usize, cases: u64, clean: bool, fails: &[String]| {
-                w.key(key);
-                w.begin_obj();
-                w.key("points");
-                w.u64(points as u64);
-                w.key("cases");
-                w.u64(cases);
-                w.key("clean");
-                w.bool(clean);
-                w.key("failures");
-                w.begin_arr();
-                for f in fails {
-                    w.string(f);
-                }
-                w.end_arr();
-                w.end_obj();
-            };
         if let Some(report) = &sweep_report {
-            let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
-            sweep_json(
-                "crash_sweep",
-                report.points,
-                report.cases as u64,
-                report.is_clean(),
-                &fails,
-            );
+            json_sweep(&mut w, "crash_sweep", report);
         }
         if let Some(report) = &fault_report {
-            let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
-            sweep_json(
-                "fault_sweep",
-                report.points,
-                report.cases as u64,
-                report.is_clean(),
-                &fails,
-            );
+            json_sweep(&mut w, "fault_sweep", report);
         }
         w.end_obj();
         println!("{}", w.finish());
@@ -1966,13 +1873,10 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             print!("{report}");
         }
     }
-    let clean = sweep_report.as_ref().is_none_or(|r| r.is_clean())
-        && fault_report.as_ref().is_none_or(|r| r.is_clean());
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(
+        sweep_report.as_ref().is_none_or(|r| r.is_clean())
+            && fault_report.as_ref().is_none_or(|r| r.is_clean()),
+    ))
 }
 
 /// `slpmt serve`: the deterministic KV request-serving front end — the
@@ -1986,7 +1890,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     use slpmt::bench::serve::run_serve;
     use slpmt::kv::service::{ServeConfig, VERB_CLASSES};
-    use slpmt::workloads::ycsb::MixSpec;
+    use MixSpec;
 
     let mut mixes = vec![MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::YCSB_C];
     let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into()];
@@ -2024,15 +1928,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                         .collect::<Result<_, _>>()?;
                 }
             }
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
+            "--scheme" => schemes = parse_schemes(&value()?)?,
             "--workload" => {
                 let v = value()?;
                 kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
@@ -2070,11 +1966,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
     let mut rows = Vec::new();
     for scheme in &schemes {
         for kind in &kinds {
@@ -2219,10 +2110,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::chaos::{chaos_cases, run_chaos_sweep};
+    use slpmt::bench::chaos::{chaos_cases, ChaosSweep, ChaosTally};
     use slpmt::pmem::FaultPlan;
     use slpmt::workloads::faultsweep::default_plans;
-    use slpmt::workloads::ycsb::MixSpec;
+    use MixSpec;
 
     let mut mixes = vec![MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::DELETE_HEAVY];
     let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into(), Scheme::SlpmtRedo.into()];
@@ -2257,18 +2148,13 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
                 }
             }
             "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = vec![
-                        Scheme::Slpmt.into(),
-                        Scheme::SlpmtRedo.into(),
-                        PtmFlavor::UndoLog.into(),
-                        PtmFlavor::RedoLog.into(),
-                    ];
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
+                let all = [
+                    Scheme::Slpmt.into(),
+                    Scheme::SlpmtRedo.into(),
+                    PtmFlavor::UndoLog.into(),
+                    PtmFlavor::RedoLog.into(),
+                ];
+                schemes = parse_list(&value()?, &all, SchemeKind::parse, "scheme")?
             }
             "--workload" => {
                 let v = value()?;
@@ -2289,20 +2175,19 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let cases = chaos_cases(&schemes, kind, seed, requests, &mixes);
+    let sweep = ChaosSweep {
+        plans,
+        points_per_plan: points,
+    };
     if !json {
         println!(
             "chaos-sweeping {} case(s) × {points} crash point(s) × {} plan variant(s) \
              (seed {seed}, {requests} requests) ...",
             cases.len(),
-            plans.len() + 1
+            sweep.plans.len() + 1
         );
     }
-    let report = run_chaos_sweep(&cases, &plans, points);
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
+    let report = ChaosTally::of(run(&sweep, &cases, threads()));
     if json {
         // Deliberately no wall-clock field: this object is diffed
         // byte-for-byte across SLPMT_THREADS values in CI.
@@ -2319,7 +2204,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         w.key("points_per_plan");
         w.u64(points as u64);
         w.key("plans");
-        w.u64(plans.len() as u64);
+        w.u64(sweep.plans.len() as u64);
         w.key("workload");
         w.string(&kind.to_string());
         w.key("mixes");
@@ -2376,11 +2261,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         print!("{report}");
         println!("  digest {:016x}", report.digest);
     }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 fn usage() -> ExitCode {
@@ -2404,6 +2285,7 @@ fn usage() -> ExitCode {
          ptm: [--scheme S|all] [--workload W|all] [--ops N] [--value B] [--json]\n\
          bench: [--ops N] [--value B] [--reps N] [--json]\n\
          matrix also accepts --json; sweep failures auto-dump traces to target/traces/\n\
+         S|all: one scheme or every registered one (chaos: its four); W|all: one index or all\n\
          indices: {}",
         IndexKind::ALL.map(|k| k.to_string()).join(", ")
     );
@@ -2415,127 +2297,54 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    match cmd.as_str() {
+    let rest = &args[1..];
+    let result = match cmd.as_str() {
         "schemes" => {
             cmd_schemes();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "overhead" => {
             cmd_overhead();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "run" | "compare" => {
-            let Some(kind) = args.get(1).and_then(|k| parse_kind(k)) else {
+            let Some(kind) = rest.first().and_then(|k| parse_kind(k)) else {
                 return usage();
             };
-            match parse_options(&args[2..]) {
-                Ok(o) => {
-                    if cmd == "run" {
-                        cmd_run(kind, &o);
-                    } else {
-                        cmd_compare(kind, &o);
-                    }
-                    ExitCode::SUCCESS
+            parse_options(&rest[1..]).map(|o| {
+                if cmd == "run" {
+                    cmd_run(kind, &o);
+                } else {
+                    cmd_compare(kind, &o);
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+                ExitCode::SUCCESS
+            })
         }
+        "shards" => match rest.first().and_then(|k| parse_kind(k)) {
+            Some(kind) => cmd_shards(kind, &rest[1..]),
+            None => return usage(),
+        },
         "matrix" => {
-            let json = args[1..].iter().any(|a| a == "--json");
-            let rest: Vec<String> = args[1..]
-                .iter()
-                .filter(|a| *a != "--json")
-                .cloned()
-                .collect();
-            match parse_options(&rest) {
-                Ok(o) => {
-                    cmd_matrix(&o, json);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let json = rest.iter().any(|a| a == "--json");
+            let opts: Vec<String> = rest.iter().filter(|a| *a != "--json").cloned().collect();
+            parse_options(&opts).map(|o| {
+                cmd_matrix(&o, json);
+                ExitCode::SUCCESS
+            })
         }
-        "crashsweep" => match cmd_crashsweep(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "faults" => match cmd_faults(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "mc" => match cmd_mc(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "shards" => {
-            let Some(kind) = args.get(1).and_then(|k| parse_kind(k)) else {
-                return usage();
-            };
-            match cmd_shards(kind, &args[2..]) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "ycsb" => match cmd_ycsb(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "ptm" => match cmd_ptm(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "serve" => match cmd_serve(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "chaos" => match cmd_chaos(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "bench" => match cmd_bench(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "trace" => match cmd_trace(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => usage(),
-    }
+        "crashsweep" => cmd_crashsweep(rest),
+        "faults" => cmd_faults(rest),
+        "mc" => cmd_mc(rest),
+        "ycsb" => cmd_ycsb(rest),
+        "ptm" => cmd_ptm(rest),
+        "serve" => cmd_serve(rest),
+        "chaos" => cmd_chaos(rest),
+        "bench" => cmd_bench(rest),
+        "trace" => cmd_trace(rest),
+        _ => return usage(),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }

@@ -13,9 +13,10 @@
 //! workers). The `#[ignore]`d test is the nightly exhaustive matrix:
 //! all ten schemes, ≥50-transaction traces.
 
-use slpmt::bench::crashsweep::{run_sweep, sweep_cases};
-use slpmt::bench::runner::par_map;
-use slpmt::core::multi::{mc_count_events, mc_sweep_serial};
+use slpmt::bench::crashsweep::{sweep_cases, CrashSweep, McSweep};
+use slpmt::bench::runner::threads;
+use slpmt::bench::sweep::run;
+use slpmt::core::multi::mc_count_events;
 use slpmt::core::{McSweepCase, Schedule, Scheme};
 use slpmt::workloads::crashsweep::{count_events, sweep_serial, SweepCase};
 use slpmt::workloads::runner::IndexKind;
@@ -41,7 +42,7 @@ const GATE_KINDS: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, Ind
 #[test]
 fn gate_sweep_every_persist_event() {
     let cases = sweep_cases(&GATE_SCHEMES, &GATE_KINDS, SEED, 12);
-    let report = run_sweep(&cases);
+    let report = run(&CrashSweep::Exhaustive, &cases, threads());
     assert!(report.points > 0);
     assert!(report.is_clean(), "{report}");
 }
@@ -88,11 +89,8 @@ fn gate_mc_sweep_every_persist_event() {
         McSweepCase::new(Scheme::SlpmtRedo, 2, SEED, Schedule::weighted(3)),
         McSweepCase::new(Scheme::Fg, 2, SEED, Schedule::weighted(9)),
     ];
-    let failures: Vec<String> = par_map(&cases, mc_sweep_serial)
-        .into_iter()
-        .flatten()
-        .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let report = run(&McSweep, &cases, threads());
+    assert!(report.failures.is_empty(), "{report}");
 }
 
 #[test]
@@ -141,11 +139,8 @@ fn full_mc_sweep_all_schemes() {
             }
         }
     }
-    let failures: Vec<String> = par_map(&cases, mc_sweep_serial)
-        .into_iter()
-        .flatten()
-        .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let report = run(&McSweep, &cases, threads());
+    assert!(report.failures.is_empty(), "{report}");
 }
 
 /// Nightly exhaustive matrix: all ten schemes × three workloads, ≥50
@@ -156,7 +151,7 @@ fn full_mc_sweep_all_schemes() {
 fn full_sweep_all_schemes() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
     let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, SEED, 50);
-    let report = run_sweep(&cases);
+    let report = run(&CrashSweep::Exhaustive, &cases, threads());
     println!("{report}");
     assert!(report.is_clean(), "{report}");
 }
@@ -170,7 +165,7 @@ fn full_sweep_multiple_seeds() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
     for seed in [1, 7, 99, 1234] {
         let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, seed, 30);
-        let report = run_sweep(&cases);
+        let report = run(&CrashSweep::Exhaustive, &cases, threads());
         println!("seed {seed}: {report}");
         assert!(report.is_clean(), "seed {seed}: {report}");
     }

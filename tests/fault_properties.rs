@@ -13,7 +13,9 @@
 //!   oracle intact. The `#[ignore]`d variant widens the matrix for
 //!   nightly runs.
 
-use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
+use slpmt::bench::faultsweep::{fault_cases, FaultSweep};
+use slpmt::bench::runner::threads;
+use slpmt::bench::sweep::run;
 use slpmt::core::RecoveryReport;
 use slpmt::pmem::{FaultPlan, PmAddr};
 use slpmt::workloads::crashsweep::{trace_ops, SweepCase, SWEEP_SCHEMES};
@@ -141,7 +143,7 @@ fn fault_sweep_gate() {
         12,
         &[],
     );
-    let report = run_fault_sweep(&cases, 2);
+    let report = run(&FaultSweep(2), &cases, threads());
     assert!(
         report.points >= 200,
         "gate must cover ≥200 points, got {}",
@@ -162,7 +164,7 @@ fn fault_sweep_nightly() {
         30,
         &[],
     );
-    let report = run_fault_sweep(&cases, 4);
+    let report = run(&FaultSweep(4), &cases, threads());
     assert!(report.points >= 600);
     assert!(report.is_clean(), "{report}");
 }

@@ -18,7 +18,8 @@
 //! * determinism: the whole sweep is byte-identical across worker
 //!   counts (the `SLPMT_THREADS` contract).
 
-use slpmt::bench::chaos::{chaos_cases, run_chaos_sweep_with, ChaosSweepReport};
+use slpmt::bench::chaos::{chaos_cases, ChaosSweep, ChaosTally};
+use slpmt::bench::sweep::run;
 use slpmt::core::Scheme;
 use slpmt::workloads::faultsweep::default_plans;
 use slpmt::workloads::runner::IndexKind;
@@ -28,7 +29,7 @@ const SEED: u64 = 0x009C_4A05;
 const REQUESTS: usize = 40;
 const POINTS_PER_PLAN: usize = 9;
 
-fn battery(workers: usize) -> ChaosSweepReport {
+fn battery(workers: usize) -> ChaosTally {
     let cases = chaos_cases(
         &[Scheme::Slpmt, Scheme::SlpmtRedo],
         IndexKind::KvBtree,
@@ -37,7 +38,14 @@ fn battery(workers: usize) -> ChaosSweepReport {
         &[MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::DELETE_HEAVY],
     );
     let plans = default_plans(SEED ^ 0xFA17);
-    run_chaos_sweep_with(&cases, &plans, POINTS_PER_PLAN, workers)
+    ChaosTally::of(run(
+        &ChaosSweep {
+            plans,
+            points_per_plan: POINTS_PER_PLAN,
+        },
+        &cases,
+        workers,
+    ))
 }
 
 #[test]
@@ -98,7 +106,11 @@ fn chaos_battery_is_byte_identical_across_worker_counts() {
             &[MixSpec::YCSB_A],
         );
         let plans = default_plans(SEED);
-        run_chaos_sweep_with(&cases, &plans, 3, workers)
+        let sweep = ChaosSweep {
+            plans,
+            points_per_plan: 3,
+        };
+        ChaosTally::of(run(&sweep, &cases, workers))
     };
     let r1 = small(1);
     let r4 = small(4);

@@ -7,9 +7,11 @@
 //! goes through the full stack: `PmContext` dispatch, the bench
 //! matrix/sweep drivers, and the streaming recovery oracle.
 
-use slpmt::bench::crashsweep::{run_sweep, run_sweep_sampled, sweep_cases, sweep_cases_mixed};
-use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
+use slpmt::bench::crashsweep::{sweep_cases, sweep_cases_mixed, CrashSweep};
+use slpmt::bench::faultsweep::{fault_cases, FaultSweep};
+use slpmt::bench::runner::threads;
 use slpmt::bench::runner::{matrix, run_matrix_with};
+use slpmt::bench::sweep::run;
 use slpmt::core::{PtmFlavor, Scheme, SchemeKind};
 use slpmt::workloads::runner::{run_inserts, IndexKind, RunResult};
 use slpmt::workloads::ycsb::MixSpec;
@@ -149,7 +151,7 @@ fn undo_and_redo_crash_battery_200_points() {
     for mix in [MixSpec::YCSB_A, MixSpec::DELETE_HEAVY] {
         cases.extend(sweep_cases_mixed(&flavors, &kinds, SEED, 8, 24, mix));
     }
-    let report = run_sweep_sampled(&cases, 26);
+    let report = run(&CrashSweep::Sampled(26), &cases, threads());
     assert!(report.points >= 200, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -160,7 +162,7 @@ fn undo_and_redo_crash_battery_200_points() {
 #[test]
 fn every_flavor_survives_exhaustive_tiny_sweep() {
     let cases = sweep_cases(&SchemeKind::SOFTWARE, &[IndexKind::Hashtable], 7, 8);
-    let report = run_sweep(&cases);
+    let report = run(&CrashSweep::Exhaustive, &cases, threads());
     assert!(report.points > 0);
     assert!(report.is_clean(), "{report}");
 }
@@ -183,7 +185,7 @@ fn nightly_software_crash_soak() {
             mix,
         ));
     }
-    let report = run_sweep_sampled(&cases, 40);
+    let report = run(&CrashSweep::Sampled(40), &cases, threads());
     assert!(report.points >= 1000, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -203,7 +205,7 @@ fn software_fault_battery_degrades_within_rules() {
         12,
         &[],
     );
-    let report = run_fault_sweep(&cases, 3);
+    let report = run(&FaultSweep(3), &cases, threads());
     assert!(report.points > 0);
     assert!(report.is_clean(), "{report}");
 }

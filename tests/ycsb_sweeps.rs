@@ -15,8 +15,10 @@
 //! --seed N --at K` after switching the case to the same mix, or
 //! through `slpmt ycsb --mix M --scheme S --workload W --sweep`.
 
-use slpmt::bench::crashsweep::{run_sweep_sampled, sweep_cases_mixed};
-use slpmt::bench::faultsweep::{fault_cases_mixed, run_fault_sweep};
+use slpmt::bench::crashsweep::{sweep_cases_mixed, CrashSweep};
+use slpmt::bench::faultsweep::{fault_cases_mixed, FaultSweep};
+use slpmt::bench::runner::threads;
+use slpmt::bench::sweep::run;
 use slpmt::core::Scheme;
 use slpmt::workloads::crashsweep::{
     check_point_streaming, sweep_points, trace_ops, StreamingOracle, SweepCase, SWEEP_SCHEMES,
@@ -55,7 +57,7 @@ fn gate_delete_heavy_kernels_all_schemes() {
         30,
         MixSpec::DELETE_HEAVY,
     );
-    let report = run_sweep_sampled(&cases, 6);
+    let report = run(&CrashSweep::Sampled(6), &cases, threads());
     assert!(report.points >= 200, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -72,7 +74,7 @@ fn gate_delete_heavy_kv_trees_all_schemes() {
         30,
         MixSpec::DELETE_HEAVY,
     );
-    let report = run_sweep_sampled(&cases, 6);
+    let report = run(&CrashSweep::Sampled(6), &cases, threads());
     assert!(report.points >= 200, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -93,7 +95,7 @@ fn gate_zipfian_churn_concentrates_recycling() {
     ];
     let kinds = [IndexKind::Hashtable, IndexKind::Rbtree];
     let cases = sweep_cases_mixed(&schemes, &kinds, SEED, 16, 40, MixSpec::DELETE_HEAVY_ZIPF);
-    let report = run_sweep_sampled(&cases, 8);
+    let report = run(&CrashSweep::Sampled(8), &cases, threads());
     assert!(report.points >= 90, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -119,7 +121,7 @@ fn gate_scan_and_rmw_mixes_survive_crashes() {
         40,
         MixSpec::YCSB_F,
     ));
-    let report = run_sweep_sampled(&cases, 6);
+    let report = run(&CrashSweep::Sampled(6), &cases, threads());
     assert!(report.points >= 40, "only {} points", report.points);
     assert!(report.is_clean(), "{report}");
 }
@@ -139,7 +141,7 @@ fn gate_delete_heavy_media_faults() {
         MixSpec::DELETE_HEAVY,
     );
     let cases = fault_cases_mixed(&bases, &[]);
-    let report = run_fault_sweep(&cases, 2);
+    let report = run(&FaultSweep(2), &cases, threads());
     assert!(report.points > 0);
     assert!(report.is_clean(), "{report}");
 }
@@ -211,7 +213,7 @@ fn nightly_million_op_delete_heavy_sweep() {
 fn nightly_named_mix_matrix() {
     for (name, mix) in MixSpec::NAMED {
         let cases = sweep_cases_mixed(&SWEEP_SCHEMES, &KERNELS, SEED, 30, 120, *mix);
-        let report = run_sweep_sampled(&cases, 8);
+        let report = run(&CrashSweep::Sampled(8), &cases, threads());
         println!("mix {name}: {report}");
         assert!(report.is_clean(), "mix {name}: {report}");
     }
